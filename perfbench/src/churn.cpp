@@ -1,16 +1,16 @@
 // The `churn` workload: long generated scenarios — gen:churn,
-// gen:hotplug and gen:mixed, seeded from --seed — on exynos5422 and
-// manycore4x4 under Baseline, decision-dense HARS-EI and MP-HARS-E. Each
-// case is a serial simulation on one thread; a round runs the 18 cases
-// nproc at a time, because one thread's speed on a shared host swings
-// with its vCPU's load and only the average over the vCPUs repeats from
-// run to run. Spawns, kills and hotplug defeat GTS's stable-placement
-// skip, so the time goes to the tick; the calibration caches are warmed
-// before the timed rounds. Every round must repeat the first one's
-// records exactly.
+// gen:hotplug and gen:mixed, in six sets seeded from --seed — on
+// exynos5422 and manycore4x4 under Baseline, decision-dense HARS-EI and
+// MP-HARS-E. Each case is a serial simulation on one thread; a round runs
+// one set's 18 cases nproc at a time, so a run of fixed length times
+// nproc times as many slices. Spawns, kills and hotplug defeat GTS's
+// stable-placement skip, so the time goes to the tick; the calibration
+// caches are warmed before the timed rounds. Every round must repeat the
+// records of its set's first round exactly.
 #include <optional>
 
 #include "layers.hpp"
+#include "meter.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/scenario_runtime.hpp"
 #include "workloads.hpp"
@@ -29,7 +29,12 @@ constexpr double kHorizonS = 150.0;
 /// (hotplug cascades, phase storms, retargets) keep coming.
 constexpr const char* kOverrides =
     "rate=1.5;max_live=4;life_min=4;life_max=16;alpha=2;depart=1";
-constexpr int kSetupReps = 7;
+constexpr int kSetupReps = 3;
+/// Scenario sets per run, each from its own generator seed; round r runs
+/// set r % kSets. A run's numbers then average over kSets x 6 generated
+/// scenarios instead of one seed's draw (whose spawn count, and so its
+/// cost, swings with the seed), and every set still repeats.
+constexpr std::uint64_t kSets = 6;
 const char* const kProfiles[] = {"churn", "hotplug", "mixed"};
 const char* const kPlatforms[] = {"exynos5422", "manycore4x4"};
 const char* const kVariants[] = {"Baseline", "HARS-EI", "MP-HARS-E"};
@@ -102,14 +107,21 @@ SweepSpec churn_cases(std::uint64_t gen_seed, std::uint64_t seed) {
   return spec;
 }
 
-/// Resolves every scenario's spawn targets at `seed`, which fills the
-/// calibration cache the runs read; returns the wall time in seconds.
-double warm_caches(std::uint64_t gen_seed, std::uint64_t seed, int jobs,
-                   Result& result) {
-  const std::int64_t start = now_ns();
+/// The generator seed of scenario set `set` of a run at --seed `seed`.
+std::uint64_t set_seed(std::uint64_t seed, std::uint64_t set) {
+  return seed * kSets + set;
+}
+
+/// Resolves the spawn targets of every scenario of every set at `seed`,
+/// which fills the calibration cache the runs read.
+void warm_caches(std::uint64_t seed_arg, std::uint64_t seed, int jobs,
+                 Result& result) {
+  constexpr std::size_t kCombos = std::size(kProfiles) * std::size(kPlatforms);
   parallel_for(
-      jobs, std::size(kProfiles) * std::size(kPlatforms),
-      [&](std::size_t i) {
+      jobs, kSets * kCombos,
+      [&](std::size_t n) {
+        const std::uint64_t gen_seed = set_seed(seed_arg, n / kCombos);
+        const std::size_t i = n % kCombos;
         ExperimentBuilder b;
         configure(b,
                   make_scenario(kProfiles[i / std::size(kPlatforms)], gen_seed,
@@ -120,7 +132,6 @@ double warm_caches(std::uint64_t gen_seed, std::uint64_t seed, int jobs,
                                              *experiment.spec().scenario);
       },
       result);
-  return ms_since(start) / 1e3;
 }
 
 struct Round {
@@ -149,35 +160,37 @@ void check_round(const Round& round, const Round& reference, Result& result) {
   const std::size_t differing =
       differing_lines(round.sink.lines, reference.sink.lines);
   for (std::size_t i = 0; i < differing; ++i) {
-    result.fail("churn record differs from the first round");
+    result.fail("churn record differs from its set's first round");
   }
 }
 
-/// Every app of the managed runs (HARS-EI and MP-HARS-E): its perf/watt
-/// normalised to the same app under Baseline on the same scenario and
-/// platform, and its time in the target window; and each managed run's
-/// modelled manager CPU.
-void add_model_metrics(const std::vector<hars::Record>& rows, Result& result) {
+/// The model numbers of the managed runs (HARS-EI and MP-HARS-E) of
+/// every scenario set.
+struct Model {
   std::vector<double> ratios;
   std::vector<double> in_window;
   std::vector<double> mgr_cpu;
+};
+
+/// Adds one set's records to `model`: every app's perf/watt normalised to
+/// the same app under Baseline on the same scenario and platform, and its
+/// time in the target window; and each managed run's modelled manager CPU.
+void add_model(const std::vector<hars::Record>& rows, Model& model) {
   for (const hars::Record& r : rows) {
     if (r.text("variant") == "Baseline") continue;
-    in_window.push_back(r.number("in_window_fraction"));
+    model.in_window.push_back(r.number("in_window_fraction"));
     if (r.text("app_index") == "0") {
-      mgr_cpu.push_back(r.number("manager_cpu_pct"));
+      model.mgr_cpu.push_back(r.number("manager_cpu_pct"));
     }
-    ratios.push_back(r.number("perf_per_watt") /
-                     hars::record_number(rows,
-                                         {{"profile", r.text("profile")},
-                                          {"platform", r.text("platform")},
-                                          {"variant", "Baseline"},
-                                          {"app_index", r.text("app_index")}},
-                                         "perf_per_watt"));
+    model.ratios.push_back(
+        r.number("perf_per_watt") /
+        hars::record_number(rows,
+                            {{"profile", r.text("profile")},
+                             {"platform", r.text("platform")},
+                             {"variant", "Baseline"},
+                             {"app_index", r.text("app_index")}},
+                            "perf_per_watt"));
   }
-  result.add("model.gm_pp_norm", geomean(ratios), "ratio", ratios.size());
-  result.add("model.in_window", mean(in_window), "fraction", in_window.size());
-  result.add("model.mgr_cpu_pct", mean(mgr_cpu), "%", mgr_cpu.size());
 }
 
 void run_traced(const Options& options, const SweepSpec& plain,
@@ -205,57 +218,51 @@ void run_traced(const Options& options, const SweepSpec& plain,
 void run_churn(const Options& options, Result& result) {
   // Set-up: the calibration fill for fresh experiment seeds; the last
   // one is the seed the timed rounds run at.
-  std::vector<double> setup_s;
+  RefMeter setup(options.jobs);
   std::uint64_t run_seed = options.seed;
   for (int k = 1; k <= (options.trace ? 1 : kSetupReps); ++k) {
     run_seed = options.seed + 1000003ull * k;
-    setup_s.push_back(
-        warm_caches(options.seed, run_seed, options.jobs, result));
+    setup.measure_setup(
+        [&] { warm_caches(options.seed, run_seed, options.jobs, result); });
   }
-  const SweepSpec cases = churn_cases(options.seed, run_seed);
+  std::vector<SweepSpec> sets;
+  for (std::uint64_t set = 0; set < kSets; ++set) {
+    sets.push_back(churn_cases(set_seed(options.seed, set), run_seed));
+  }
   if (options.trace) {
-    run_traced(options, cases, result);
+    run_traced(options, sets[0], result);
     return;
   }
 
   // Whole rounds only, so every case weighs the same in every metric.
   const std::int64_t deadline =
       now_ns() + static_cast<std::int64_t>(options.seconds * 1e9);
-  RoundQuantiles ticks;
-  std::vector<double> case_ms;
-  std::vector<double> cases_per_s;
-  std::vector<double> records_per_s;
-  std::optional<Round> first;
-  while (cases_per_s.size() < 2 || now_ns() < deadline) {
-    Round round = run_round(cases, options.jobs, result);
-    const double wall_s = round.report.wall_ms / 1e3;
-    cases_per_s.push_back(
-        static_cast<double>(round.report.outcomes.size()) / wall_s);
-    records_per_s.push_back(static_cast<double>(round.sink.lines.size()) /
-                            wall_s);
-    for (const hars::CaseOutcome& outcome : round.report.outcomes) {
-      case_ms.push_back(outcome.wall_ms);
-    }
-    ticks.add(take_tick_samples());
-    if (first) {
-      check_round(round, *first, result);
+  RefMeter meter(options.jobs);
+  std::vector<Round> first;
+  for (std::uint64_t r = 0; r < 2 * kSets || now_ns() < deadline; ++r) {
+    std::optional<Round> round;
+    meter.measure([&] {
+      round.emplace(run_round(sets[r % kSets], options.jobs, result));
+      return round->report.outcomes.size();
+    });
+    if (r < kSets) {
+      first.push_back(std::move(*round));
     } else {
-      first = std::move(round);
+      check_round(*round, first[r % kSets], result);
     }
   }
 
-  result.add("setup_s", median(setup_s), "s", setup_s.size());
-  result.add("cases_per_s", median(cases_per_s), "cases/s",
-             cases_per_s.size());
-  result.add("ns_per_tick_p50", median(ticks.p50), "ns", ticks.samples);
-  result.add("ns_per_tick_p99", median(ticks.p99), "ns", ticks.samples);
-  result.add("first_record_ms_p50", quantile(case_ms, 0.5), "ms",
-             case_ms.size());
-  result.add("first_record_ms_p90", quantile(case_ms, 0.9), "ms",
-             case_ms.size());
-  result.add("records_per_s", median(records_per_s), "records/s",
-             records_per_s.size());
-  add_model_metrics(first->sink.records, result);
+  add_setup_time(setup, result);
+  add_case_cost(meter, result);
+  add_tick_cost(meter, result);
+  Model model;
+  for (const Round& round : first) add_model(round.sink.records, model);
+  result.add("model.gm_pp_norm", geomean(model.ratios), "ratio",
+             model.ratios.size());
+  result.add("model.in_window", mean(model.in_window), "fraction",
+             model.in_window.size());
+  result.add("model.mgr_cpu_pct", mean(model.mgr_cpu), "%",
+             model.mgr_cpu.size());
 }
 
 }  // namespace perfbench

@@ -105,6 +105,11 @@ void Result::add(std::string name, double value, std::string unit,
   metrics_.push_back(Metric{std::move(name), value, std::move(unit), samples});
 }
 
+void Result::note(std::string name, double value, std::string unit,
+                  std::size_t samples) {
+  notes_.push_back(Metric{std::move(name), value, std::move(unit), samples});
+}
+
 void Result::fail(const std::string& why) {
   ++failed_;
   if (failures_.size() < 20) failures_.push_back(why);
@@ -121,6 +126,10 @@ void Result::print() const {
   }
   for (const Metric& m : metrics_) {
     std::printf("%-44s %16.6f %-10s n=%zu\n", m.name.c_str(), m.value,
+                m.unit.c_str(), m.samples);
+  }
+  for (const Metric& m : notes_) {
+    std::printf("(%s %16.6f %s n=%zu)\n", m.name.c_str(), m.value,
                 m.unit.c_str(), m.samples);
   }
   hars::json::Writer w;

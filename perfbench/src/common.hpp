@@ -2,6 +2,8 @@
 // order statistics, and the result every workload prints.
 #pragma once
 
+#include <time.h>
+
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -34,6 +36,24 @@ inline double ms_since(std::int64_t start_ns) {
   return static_cast<double>(now_ns() - start_ns) / 1e6;
 }
 
+inline std::int64_t clock_ns(clockid_t clock) {
+  timespec t{};
+  clock_gettime(clock, &t);
+  return static_cast<std::int64_t>(t.tv_sec) * 1000000000 + t.tv_nsec;
+}
+
+/// CPU time used by the calling thread, and by the whole process (every
+/// thread, live or ended). Unlike wall time, CPU time does not grow
+/// while a thread waits for a CPU (preempted, or its vCPU's time stolen
+/// by the hypervisor), so on a shared host it measures the work rather
+/// than the host's load. The benchmark's host-cost metrics use it.
+inline std::int64_t thread_cpu_ns() {
+  return clock_ns(CLOCK_THREAD_CPUTIME_ID);
+}
+inline std::int64_t process_cpu_ns() {
+  return clock_ns(CLOCK_PROCESS_CPUTIME_ID);
+}
+
 /// Linear-interpolation quantile (the numpy default); NaN when empty.
 double quantile(std::vector<double> values, double q);
 inline double median(std::vector<double> values) {
@@ -62,20 +82,6 @@ class Reservoir {
   std::mt19937_64 rng_{1};
 };
 
-/// Tick-cost quantiles taken per round (or pass) of a run and reported
-/// as the median round, so a burst of host contention moves only the
-/// rounds it falls in.
-struct RoundQuantiles {
-  void add(const std::vector<double>& round) {
-    p50.push_back(quantile(round, 0.5));
-    p99.push_back(quantile(round, 0.99));
-    samples += round.size();
-  }
-  std::vector<double> p50;
-  std::vector<double> p99;
-  std::size_t samples = 0;
-};
-
 /// Peak resident set size of this process, in MiB.
 double peak_rss_mb();
 
@@ -102,6 +108,9 @@ class Result {
  public:
   void add(std::string name, double value, std::string unit,
            std::size_t samples = 1);
+  /// A number for the readable table only, not the JSON result.
+  void note(std::string name, double value, std::string unit,
+            std::size_t samples = 1);
   void attempt(std::size_t n = 1) { attempted_ += n; }
   /// Counts one failure and keeps its reason for the report.
   void fail(const std::string& why);
@@ -122,6 +131,7 @@ class Result {
     std::size_t samples;
   };
   std::vector<Metric> metrics_;
+  std::vector<Metric> notes_;
   std::vector<std::string> failures_;
   std::size_t attempted_ = 0;
   std::size_t failed_ = 0;

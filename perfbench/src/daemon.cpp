@@ -1,12 +1,14 @@
 // The `daemon` workload: an in-process ServiceDaemon on loopback with
-// nproc pool workers; two client connections each submit, back to back,
+// 2 pool workers; two client connections each submit, back to back,
 // small sweep campaigns (4 cases of a few simulated seconds). Every streamed
 // record must be byte-identical to an in-process SweepEngine run of the
 // same CampaignRequest.
 #include <algorithm>
+#include <atomic>
 #include <thread>
 
 #include "layers.hpp"
+#include "meter.hpp"
 #include "svc/campaign_scheduler.hpp"
 #include "svc/client.hpp"
 #include "svc/daemon.hpp"
@@ -19,20 +21,23 @@ namespace {
 
 namespace svc = hars::svc;
 
-constexpr int kRequests = 6;
 constexpr double kCaseSeconds = 20.0;
 constexpr int kClients = 2;
-constexpr int kSetupReps = 9;
+/// Pool workers of the daemon, and jobs of the in-process runs its
+/// records and overhead are compared with.
+constexpr int kWorkers = 2;
+constexpr int kSetupReps = 15;
 
-/// Six small campaigns: two benchmarks x {Baseline, HARS-EI}, each
-/// benchmark in two of them (the pairing comes from `seed`), a few
-/// simulated seconds per case.
+/// One small campaign per PARSEC benchmark: two benchmarks x {Baseline,
+/// HARS-EI}, a few simulated seconds per case. Every benchmark is in two
+/// campaigns; `seed` picks the pairing, so the work of a whole set does
+/// not depend on it.
 std::vector<svc::CampaignRequest> make_requests(std::uint64_t seed,
                                                 std::uint64_t exp_seed) {
   const auto benches = hars::all_parsec_benchmarks();
   const std::size_t offset = 1 + seed % (benches.size() - 1);
   std::vector<svc::CampaignRequest> requests;
-  for (std::size_t r = 0; r < kRequests; ++r) {
+  for (std::size_t r = 0; r < benches.size(); ++r) {
     svc::CampaignRequest req;
     req.benches = {
         std::string(hars::parsec_code(benches[r])),
@@ -122,8 +127,6 @@ struct Seen {
   double first_record_ms = 0.0;  ///< From submit.
   double ack_ms = 0.0;           ///< From submit (wire client only).
   double wall_ms = 0.0;          ///< Submit to summary.
-  std::int64_t end_ns = 0;       ///< now_ns() at the summary.
-  std::size_t records = 0;
   std::size_t cases = 0;
 };
 
@@ -167,15 +170,17 @@ Seen submit_wire(svc::Socket& socket, std::uint64_t id,
     }
   }
   seen.wall_ms = ms_since(start);
-  seen.records = lines.size();
   check_records(lines, want, result);
   return seen;
 }
 
 /// Runs `clients` connections, each submitting back to back until
-/// `seconds` pass; `submit` does one campaign.
+/// `seconds` pass; `submit` does one campaign, request `next++` modulo
+/// `requests` (so the requests are served in turn across calls).
 template <typename Submit>
-std::vector<Seen> closed_loop(int clients, double seconds, Submit submit,
+std::vector<Seen> closed_loop(int clients, double seconds,
+                              std::size_t requests,
+                              std::atomic<std::size_t>& next, Submit submit,
                               Result& result) {
   std::mutex mutex;
   std::vector<Seen> seen;
@@ -187,8 +192,9 @@ std::vector<Seen> closed_loop(int clients, double seconds, Submit submit,
       Result local_result;
       std::vector<Seen> local;
       try {
-        for (int i = c; now_ns() < deadline; i += clients) {
-          local.push_back(submit(c, i % kRequests, local_result));
+        while (now_ns() < deadline) {
+          const int i = static_cast<int>(next++ % requests);
+          local.push_back(submit(c, i, local_result));
         }
       } catch (const std::exception& e) {
         local_result.fail(std::string("daemon client: ") + e.what());
@@ -234,19 +240,19 @@ void add_model_metrics(const std::vector<Local>& locals, Result& result) {
 }
 
 /// Set-up: the in-process runs of every request at fresh experiment
-/// seeds (cold calibration caches), several times; the last seed's runs
-/// are the reference the daemon's records are checked against. Every
-/// rep's runs are appended to `every_rep` when given.
+/// seeds (cold calibration caches), several times, each a unit of
+/// `meter`; the last seed's runs are the reference the daemon's records
+/// are checked against. Every rep's runs are appended to `every_rep` when
+/// given.
 std::vector<Local> set_up(const Options& options, int reps,
                           std::vector<svc::CampaignRequest>& requests,
-                          std::vector<double>& setup_s, Result& result,
+                          RefMeter& meter, Result& result,
                           std::vector<Local>* every_rep = nullptr) {
   std::vector<Local> reference;
   for (int k = 1; k <= reps; ++k) {
     requests = make_requests(options.seed, options.seed + 1000003ull * k);
-    const std::int64_t start = now_ns();
-    reference = run_all_local(requests, options.jobs, result);
-    setup_s.push_back(ms_since(start) / 1e3);
+    meter.measure_setup(
+        [&] { reference = run_all_local(requests, kWorkers, result); });
     if (every_rep != nullptr) {
       every_rep->insert(every_rep->end(), reference.begin(), reference.end());
     }
@@ -259,23 +265,23 @@ void run_traced(const Options& options, Result& result) {
 
   // The same campaigns in process, alternately traced and not.
   std::vector<svc::CampaignRequest> requests;
-  std::vector<double> setup_s;
+  RefMeter setup(kWorkers);
   const std::vector<Local> reference =
-      set_up(options, 1, requests, setup_s, result);
+      set_up(options, 1, requests, setup, result);
   TracedSection section;
   alternate(
       options.seconds / 2, 2, section,
       [&] {
         for (std::size_t i = 0; i < requests.size(); ++i) {
           check_records(
-              run_local(requests[i], options.jobs, false, result).lines,
+              run_local(requests[i], kWorkers, false, result).lines,
               reference[i].lines, result);
         }
       },
       [&] {
         for (std::size_t i = 0; i < requests.size(); ++i) {
           const Local local =
-              run_local(requests[i], options.jobs, true, result);
+              run_local(requests[i], kWorkers, true, result);
           check_records(local.lines, reference[i].lines, result);
           add_sweep(section, local.report);
         }
@@ -289,19 +295,20 @@ void run_traced(const Options& options, Result& result) {
 void measure_svc_layer(const Options& options, double budget_s,
                        Result& result) {
   std::vector<svc::CampaignRequest> requests;
-  std::vector<double> setup_s;
-  std::vector<Local> reference = set_up(options, 1, requests, setup_s, result);
+  RefMeter setup(kWorkers);
+  std::vector<Local> reference = set_up(options, 1, requests, setup, result);
 
   std::vector<Seen> seen;
   std::vector<double> overhead_ms;
   {
-    Daemon daemon(options.jobs);
+    Daemon daemon(kWorkers);
     std::vector<svc::Socket> sockets;
     for (int c = 0; c < kClients; ++c) {
       sockets.push_back(svc::connect_to(daemon.address()));
     }
+    std::atomic<std::size_t> next{0};
     seen = closed_loop(
-        kClients, budget_s / 2,
+        kClients, budget_s / 2, requests.size(), next,
         [&](int c, int i, Result& r) {
           return submit_wire(sockets[c], static_cast<std::uint64_t>(i + 1),
                              requests[i], reference[i].lines, r);
@@ -312,14 +319,14 @@ void measure_svc_layer(const Options& options, double budget_s,
     const std::int64_t deadline =
         now_ns() + static_cast<std::int64_t>(budget_s / 2 * 1e9);
     for (int i = 0; overhead_ms.size() < 8 || now_ns() < deadline; ++i) {
-      const int r = i % kRequests;
+      const std::size_t r = static_cast<std::size_t>(i) % requests.size();
       const auto remote = [&] {
         return submit_wire(sockets[0], static_cast<std::uint64_t>(1000 + i),
                            requests[r], reference[r].lines, result)
             .wall_ms;
       };
       const auto local = [&] {
-        return run_local(requests[r], options.jobs, false, result).wall_ms;
+        return run_local(requests[r], kWorkers, false, result).wall_ms;
       };
       if (i % 2 == 0) {
         const double l = local();
@@ -333,6 +340,11 @@ void measure_svc_layer(const Options& options, double budget_s,
   (void)take_tick_samples();
   std::vector<double> after_ack;
   for (const Seen& s : seen) after_ack.push_back(s.first_record_ms - s.ack_ms);
+  const std::vector<double> first = field(seen, &Seen::first_record_ms);
+  result.add("svc.first_record_ms_p50", quantile(first, 0.5), "ms",
+             first.size());
+  result.add("svc.first_record_ms_p90", quantile(first, 0.9), "ms",
+             first.size());
   result.add("svc.ack_ms_p50", median(field(seen, &Seen::ack_ms)), "ms",
              seen.size());
   result.add("svc.first_record_after_ack_ms_p50", median(after_ack), "ms",
@@ -349,94 +361,73 @@ void run_daemon(const Options& options, Result& result) {
     run_traced(options, result);
     return;
   }
+  // The set-up runs are the process's first: their slices also pay for
+  // first-touch memory, so their tick samples stay in the set-up meter.
   std::vector<svc::CampaignRequest> requests;
-  std::vector<double> setup_s;
+  RefMeter setup(kWorkers);
   std::vector<Local> every_rep;
   const std::vector<Local> reference =
-      set_up(options, kSetupReps, requests, setup_s, result, &every_rep);
-  // The set-up runs are the process's first: their slices also pay for
-  // first-touch memory, so they are not tick samples.
-  (void)take_tick_samples();
+      set_up(options, kSetupReps, requests, setup, result, &every_rep);
 
-  std::vector<Seen> seen;
-  std::int64_t start = 0;
+  // Client traffic in one-second units, each followed by the reference
+  // loop (the daemon idles meanwhile).
+  RefMeter traffic(kWorkers);
   {
-    Daemon daemon(options.jobs);
+    Daemon daemon(kWorkers);
     std::vector<std::unique_ptr<svc::ServiceClient>> clients;
     for (int c = 0; c < kClients; ++c) {
       clients.push_back(std::make_unique<svc::ServiceClient>(daemon.address()));
     }
-    start = now_ns();
-    seen = closed_loop(
-        kClients, options.seconds,
-        [&](int c, int i, Result& r) {
-          Seen s;
-          std::vector<std::string> lines;
-          const std::int64_t submitted = now_ns();
-          const svc::SubmitOutcome outcome = clients[c]->submit_sweep(
-              requests[i], [&](const hars::Record& record) {
-                if (lines.empty()) s.first_record_ms = ms_since(submitted);
-                lines.push_back(record_text(record));
-              });
-          s.end_ns = now_ns();
-          s.wall_ms = static_cast<double>(s.end_ns - submitted) / 1e6;
-          if (!outcome.ok) throw std::runtime_error("campaign refused");
-          s.records = lines.size();
-          s.cases = outcome.summary.cases;
-          check_records(lines, reference[i].lines, r);
-          return s;
-        },
-        result);
+    const auto submit = [&](int c, int i, Result& r) {
+      std::vector<std::string> lines;
+      const svc::SubmitOutcome outcome = clients[c]->submit_sweep(
+          requests[i], [&](const hars::Record& record) {
+            lines.push_back(record_text(record));
+          });
+      if (!outcome.ok) throw std::runtime_error("campaign refused");
+      check_records(lines, reference[i].lines, r);
+      Seen s;
+      s.cases = outcome.summary.cases;
+      return s;
+    };
+    std::atomic<std::size_t> next{0};
+    const std::int64_t deadline =
+        now_ns() + static_cast<std::int64_t>(options.seconds * 1e9);
+    while (traffic.units() < 2 || now_ns() < deadline) {
+      traffic.measure([&] {
+        std::size_t cases = 0;
+        for (const Seen& s : closed_loop(kClients, 1.0, requests.size(), next,
+                                         submit, result)) {
+          cases += s.cases;
+        }
+        return cases;
+      });
+    }
   }
 
   // The tick cost of these campaigns, sampled in process (the daemon's
-  // own runs take no sampler): three more seconds of the reference runs.
-  Reservoir ticks;
+  // own runs take no sampler): three more seconds of the reference runs,
+  // in units of at least half a second.
+  RefMeter in_process(kWorkers);
   const std::int64_t tick_deadline = now_ns() + 3000000000;
-  while (now_ns() < tick_deadline) {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      check_records(
-          run_local(requests[i], options.jobs, false, result).lines,
-          reference[i].lines, result);
-    }
-    ticks.add(take_tick_samples());
+  while (in_process.units() < 2 || now_ns() < tick_deadline) {
+    in_process.measure([&] {
+      std::size_t cases = 0;
+      const std::int64_t unit_end = now_ns() + 500000000;
+      while (now_ns() < unit_end) {
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+          const Local run = run_local(requests[i], kWorkers, false, result);
+          check_records(run.lines, reference[i].lines, result);
+          cases += run.report.outcomes.size();
+        }
+      }
+      return cases;
+    });
   }
 
-  // Throughput over consecutive groups of completions (about one per
-  // second of the run), reported as the median group.
-  std::sort(seen.begin(), seen.end(),
-            [](const Seen& a, const Seen& b) { return a.end_ns < b.end_ns; });
-  const std::size_t groups =
-      std::max<std::size_t>(1, static_cast<std::size_t>(options.seconds));
-  std::vector<double> cases_per_s;
-  std::vector<double> records_per_s;
-  std::int64_t group_start = start;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t from = seen.size() * g / groups;
-    const std::size_t to = seen.size() * (g + 1) / groups;
-    if (to <= from) continue;
-    double cases = 0.0;
-    double records = 0.0;
-    for (std::size_t i = from; i < to; ++i) {
-      cases += static_cast<double>(seen[i].cases);
-      records += static_cast<double>(seen[i].records);
-    }
-    const double span_s =
-        static_cast<double>(seen[to - 1].end_ns - group_start) / 1e9;
-    group_start = seen[to - 1].end_ns;
-    cases_per_s.push_back(cases / span_s);
-    records_per_s.push_back(records / span_s);
-  }
-  const std::vector<double> first = field(seen, &Seen::first_record_ms);
-  result.add("setup_s", median(setup_s), "s", setup_s.size());
-  result.add("cases_per_s", median(cases_per_s), "cases/s",
-             cases_per_s.size());
-  result.add("ns_per_tick_p50", ticks.quantile(0.5), "ns", ticks.seen());
-  result.add("ns_per_tick_p99", ticks.quantile(0.99), "ns", ticks.seen());
-  result.add("first_record_ms_p50", quantile(first, 0.5), "ms", first.size());
-  result.add("first_record_ms_p90", quantile(first, 0.9), "ms", first.size());
-  result.add("records_per_s", median(records_per_s), "records/s",
-             records_per_s.size());
+  add_setup_time(setup, result);
+  add_case_cost(traffic, result);
+  add_tick_cost(in_process, result);
   add_model_metrics(every_rep, result);
 }
 

@@ -3,8 +3,10 @@
 // at --jobs = nproc. A cold pass fills the compute-once caches; warm
 // passes are timed and must reproduce its records byte for byte.
 #include <limits>
+#include <optional>
 
 #include "layers.hpp"
+#include "meter.hpp"
 #include "workloads.hpp"
 
 namespace perfbench {
@@ -187,48 +189,34 @@ void run_figures(const Options& options, Result& result) {
   }
 
   // Set-up: fill the caches for fresh seeds, several times.
-  std::vector<double> setup_s;
+  RefMeter setup(options.jobs);
   for (int k = 1; k <= kSetupReps; ++k) {
-    setup_s.push_back(
-        fill_figures_caches(options.seed + 1000003ull * k, options.jobs,
-                            result)
-            .total_s());
+    setup.measure_setup([&] {
+      (void)fill_figures_caches(options.seed + 1000003ull * k, options.jobs,
+                                result);
+    });
   }
 
   const Pass cold = run_pass(spec, options.jobs);
   check_pass(cold, cold, result);
   (void)take_tick_samples();
 
-  RoundQuantiles ticks;
-  std::vector<double> cases_per_s;
-  std::vector<double> records_per_s;
-  std::vector<double> case_ms;
+  // Warm passes until the time is up; the costs pool every pass.
+  RefMeter meter(options.jobs);
   const std::int64_t deadline =
       now_ns() + static_cast<std::int64_t>(options.seconds * 1e9);
-  while (cases_per_s.size() < 3 || now_ns() < deadline) {
-    const Pass warm = run_pass(spec, options.jobs);
-    check_pass(warm, cold, result);
-    const double wall_s = warm.report.wall_ms / 1e3;
-    cases_per_s.push_back(static_cast<double>(warm.report.outcomes.size()) /
-                          wall_s);
-    records_per_s.push_back(static_cast<double>(warm.sink.lines.size()) /
-                            wall_s);
-    for (const hars::CaseOutcome& outcome : warm.report.outcomes) {
-      case_ms.push_back(outcome.wall_ms);
-    }
-    ticks.add(take_tick_samples());
+  while (meter.units() < 3 || now_ns() < deadline) {
+    std::optional<Pass> warm;
+    meter.measure([&] {
+      warm.emplace(run_pass(spec, options.jobs));
+      return warm->report.outcomes.size();
+    });
+    check_pass(*warm, cold, result);
   }
 
-  result.add("setup_s", median(setup_s), "s", setup_s.size());
-  result.add("cases_per_s", median(cases_per_s), "cases/s", cases_per_s.size());
-  result.add("ns_per_tick_p50", median(ticks.p50), "ns", ticks.samples);
-  result.add("ns_per_tick_p99", median(ticks.p99), "ns", ticks.samples);
-  result.add("first_record_ms_p50", quantile(case_ms, 0.5), "ms",
-             case_ms.size());
-  result.add("first_record_ms_p90", quantile(case_ms, 0.9), "ms",
-             case_ms.size());
-  result.add("records_per_s", median(records_per_s), "records/s",
-             records_per_s.size());
+  add_setup_time(setup, result);
+  add_case_cost(meter, result);
+  add_tick_cost(meter, result);
   add_model_metrics(cold.sink.records, result);
 }
 

@@ -149,23 +149,24 @@ class TimedInstance final : public hars::VariantInstance {
 
 hars::SampleFn tick_sampler() {
   struct State {
-    std::int64_t last_ns = -1;
+    std::int64_t last_cpu_ns = -1;
     hars::TimeUs last_now = 0;
   };
   auto state = std::make_shared<State>();
   return [state](const hars::RunView& view) {
-    const std::int64_t now = now_ns();
+    const std::int64_t cpu = thread_cpu_ns();
     std::int64_t ticks = 0;
-    if (state->last_ns >= 0) {
+    if (state->last_cpu_ns >= 0) {
       ticks = (view.now - state->last_now) / view.engine.tick_us();
       if (ticks > 0) {
         thread_samples().push_back(
-            static_cast<double>(now - state->last_ns) /
+            static_cast<double>(cpu - state->last_cpu_ns) /
             static_cast<double>(ticks));
       }
     }
-    state->last_ns = now;
+    state->last_cpu_ns = cpu;
     state->last_now = view.now;
+    const std::int64_t now = now_ns();
     Tracer* tracer = Tracer::active();
     if (tracer != nullptr && t_trace.case_id != 0) {
       close_slice(*tracer, now, ticks);

@@ -2,8 +2,8 @@
 // calls into a layer's public surface, never from code inside src/.
 //
 //  * tick_sampler(): an ExperimentBuilder::sample_every sampler that turns
-//    each fixed slice of simulated time into one host-ns-per-tick sample
-//    (the hmp SimEngine tick, end to end).
+//    each fixed slice of simulated time into one host-CPU-ns-per-tick
+//    sample (the hmp SimEngine tick, end to end).
 //  * Tracer: the traced run's in-memory span store. Spans are
 //    exp.run (one Experiment::run, via a SweepSpec case runner),
 //    hmp.slice (one sampler slice), and per slice the aggregated time of
@@ -28,7 +28,8 @@
 namespace perfbench {
 
 /// A fresh ExperimentBuilder::sample_every sampler for one run: each
-/// slice becomes one host-nanoseconds-per-simulated-tick sample. The
+/// slice becomes one sample of the running thread's CPU nanoseconds per
+/// simulated tick (thread_cpu_ns(); the spans stay in wall time). The
 /// first slice of every run is dropped (it also holds the run's
 /// set-up). Safe to use from any worker thread.
 hars::SampleFn tick_sampler();

@@ -218,11 +218,11 @@ void emit_layer_metrics(const TracedSection& section, Result& result) {
 
   const double traced = median(section.traced_ns_per_tick);
   const double untraced = median(section.untraced_ns_per_tick);
-  result.add("trace.ns_per_tick_p50.traced", traced, "ns",
+  result.add("trace.cpu_ns_per_tick_p50.traced", traced, "ns",
              section.traced_ns_per_tick.size());
-  result.add("trace.ns_per_tick_p50.untraced", untraced, "ns",
+  result.add("trace.cpu_ns_per_tick_p50.untraced", untraced, "ns",
              section.untraced_ns_per_tick.size());
-  result.add("trace.overhead_ns_per_tick", traced - untraced, "ns");
+  result.add("trace.overhead_cpu_ns_per_tick", traced - untraced, "ns");
 }
 
 void finish_traced_run(const Options& options, Result& result) {
