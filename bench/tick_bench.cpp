@@ -10,9 +10,11 @@
 //     pool (--jobs N) with a byte-identical-records assertion — the
 //     engine must produce the same metrics at any parallelism.
 //  2. Speedup: the staggered scenario on exynos5422 under all eight
-//     runtime versions, run on the optimized tick/search path and on the
-//     retained reference path (--reference semantics of
-//     ExperimentBuilder::reference_impl), median of --reps repetitions.
+//     runtime versions, plus plain single-app Baseline and SO runs (no
+//     manager, no tick hook: the runs the engine fast-forwards), on the
+//     optimized tick/search path and on the retained reference path
+//     (--reference semantics of ExperimentBuilder::reference_impl),
+//     min of --reps repetitions; the geomean covers the staggered rows.
 //     Asserts (a) records are bit-identical between the two paths and
 //     (b) the optimized path is at least as fast (perf smoke).
 //
@@ -38,6 +40,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exp/experiment.hpp"
@@ -225,22 +228,31 @@ int main(int argc, char** argv) {
               grid_identical ? "identical" : "DIVERGENT");
 
   // ---- Part 2: optimized vs reference on the staggered scenario --------
+  // Plus manager-less, hook-less plain runs: the staggered scenario's tick
+  // hook keeps the quiet-span fast-forward off, so only these rows compare
+  // fast-forwarded runs against the per-tick reference path.
   struct SpeedupRow {
     std::string variant;
+    std::string scenario;  ///< "staggered", or "plain" (one app, no hook).
     double opt_tps = 0.0;
     double ref_tps = 0.0;
     bool identical = false;
   };
   const double speedup_ticks = speedup_duration_sec / tick_sec;
   std::vector<SpeedupRow> speedups;
-  auto run_staggered = [&](const std::string& variant, bool reference,
-                           double* wall_ms) {
+  auto run_speedup = [&](const std::string& variant,
+                         const std::string& scenario, bool reference,
+                         double* wall_ms) {
     ExperimentBuilder b;
     b.platform(std::string_view("exynos5422"))
-        .scenario(std::string_view("staggered"))
         .variant(variant)
         .duration_sec(speedup_duration_sec)
         .reference_impl(reference);
+    if (scenario == "plain") {
+      b.app(ParsecBenchmark::kBodytrack);
+    } else {
+      b.scenario(std::string_view(scenario));
+    }
     const Experiment experiment = b.build();
     const auto start = Clock::now();
     const ExperimentResult r = experiment.run();
@@ -248,11 +260,18 @@ int main(int argc, char** argv) {
     return result_record(r);
   };
 
+  std::vector<std::pair<std::string, std::string>> speedup_cases;
   for (const std::string& variant : VariantRegistry::instance().names()) {
-    // Warm calibration caches for this variant's scenario targets.
+    speedup_cases.emplace_back(variant, "staggered");
+  }
+  for (const char* variant : {"Baseline", "SO"}) {
+    speedup_cases.emplace_back(variant, "plain");
+  }
+  for (const auto& [variant, scenario] : speedup_cases) {
+    // Warm calibration caches for this variant's targets.
     {
       double ignored = 0.0;
-      (void)run_staggered(variant, false, &ignored);
+      (void)run_speedup(variant, scenario, false, &ignored);
     }
     std::vector<double> opt_ms;
     std::vector<double> ref_ms;
@@ -260,9 +279,9 @@ int main(int argc, char** argv) {
     Record ref_record;
     for (int rep = 0; rep < reps; ++rep) {
       double w = 0.0;
-      opt_record = run_staggered(variant, false, &w);
+      opt_record = run_speedup(variant, scenario, false, &w);
       opt_ms.push_back(w);
-      ref_record = run_staggered(variant, true, &w);
+      ref_record = run_speedup(variant, scenario, true, &w);
       ref_ms.push_back(w);
     }
     // Min-of-reps: the least-interfered repetition is the standard
@@ -271,21 +290,23 @@ int main(int argc, char** argv) {
     std::sort(ref_ms.begin(), ref_ms.end());
     SpeedupRow row;
     row.variant = variant;
+    row.scenario = scenario;
     row.opt_tps = speedup_ticks / (opt_ms.front() / 1000.0);
     row.ref_tps = speedup_ticks / (ref_ms.front() / 1000.0);
     row.identical = fingerprint({opt_record}) == fingerprint({ref_record});
     speedups.push_back(row);
-    std::printf("speedup %-10s opt %8.1f kticks/s  ref %8.1f kticks/s  "
+    std::printf("speedup %-10s %-9s opt %8.1f kticks/s  ref %8.1f kticks/s  "
                 "%.2fx  records %s\n",
-                row.variant.c_str(), row.opt_tps / 1000.0,
-                row.ref_tps / 1000.0, row.opt_tps / row.ref_tps,
+                row.variant.c_str(), row.scenario.c_str(),
+                row.opt_tps / 1000.0, row.ref_tps / 1000.0,
+                row.opt_tps / row.ref_tps,
                 row.identical ? "identical" : "DIVERGENT");
   }
 
+  // The geomean stays over the staggered rows, the trajectory it tracks.
   std::vector<double> ratios;
-  ratios.reserve(speedups.size());
   for (const SpeedupRow& row : speedups) {
-    ratios.push_back(row.opt_tps / row.ref_tps);
+    if (row.scenario == "staggered") ratios.push_back(row.opt_tps / row.ref_tps);
   }
   const double geomean_speedup = geomean(ratios);
 
@@ -408,6 +429,7 @@ int main(int argc, char** argv) {
     all_identical = all_identical && row.identical;
     all_at_least_ref = all_at_least_ref && row.opt_tps >= row.ref_tps;
     out << "      {\"variant\": \"" << json_escape(row.variant)
+        << "\", \"scenario\": \"" << row.scenario
         << "\", \"opt_ticks_per_sec\": " << format_number(row.opt_tps)
         << ", \"ref_ticks_per_sec\": " << format_number(row.ref_tps)
         << ", \"speedup\": " << format_number(row.opt_tps / row.ref_tps)

@@ -40,6 +40,17 @@ struct SpeedModel {
   }
 };
 
+/// One thread's CPU grant for every tick of a quiet span (SimEngine's
+/// fast-forward): the share and the core it would be handed by
+/// execute() each tick. A share of 0 means the engine does not execute
+/// the thread (it is not runnable or not placed).
+struct ThreadGrant {
+  TimeUs share_us = 0;
+  CoreType type = CoreType::kLittle;
+  double freq_ghz = 0.0;
+  TimeUs used_us = 0;  ///< Out (App::quiet_ticks): CPU time used per tick.
+};
+
 class App {
  public:
   App(std::string name, int thread_count, SpeedModel speed,
@@ -87,6 +98,30 @@ class App {
 
   /// Called after all threads executed; barrier/heartbeat logic lives here.
   virtual void end_tick(TimeUs now) = 0;
+
+  /// Quiet-span horizon for the engine's fast-forward: the number of
+  /// upcoming ticks, at most `limit`, in which executing every thread
+  /// with `grants` (one per thread, in thread order) and then end_tick()
+  /// would change nothing but per-thread work progress: every executed
+  /// thread uses the same CPU time each tick (written to
+  /// grants[i].used_us), runnable() answers stay as they are now, and no
+  /// heartbeat is emitted. The engine grants a positive share exactly to
+  /// the threads it ran last tick, so an app whose runnable() now differs
+  /// from that must answer 0. The default, 0, never fast-forwards.
+  virtual std::int64_t quiet_ticks(ThreadGrant* grants,
+                                   std::int64_t limit) const {
+    (void)grants;
+    (void)limit;
+    return 0;
+  }
+
+  /// Applies `ticks` quiet ticks (at most the last quiet_ticks() answer
+  /// for the same grants): the exact state change of that many
+  /// execute()/end_tick() rounds.
+  virtual void advance_quiet(const ThreadGrant* grants, std::int64_t ticks) {
+    (void)grants;
+    (void)ticks;
+  }
 
   /// True once the application has retired all its input (simulations
   /// normally end on time instead).

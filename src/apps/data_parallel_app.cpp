@@ -115,6 +115,66 @@ void DataParallelApp::end_tick(TimeUs now) {
   start_iteration();
 }
 
+WorkUnits* DataParallelApp::pending_work(int i) {
+  if (warmup_remaining_ > 0.0) return i == 0 ? &warmup_remaining_ : nullptr;
+  WorkUnits& rem = remaining_[static_cast<std::size_t>(i)];
+  return iteration_open_ && rem > 0.0 ? &rem : nullptr;
+}
+
+WorkUnits DataParallelApp::full_share_work(const ThreadGrant& grant) const {
+  const double speed = thread_speed(grant.type, grant.freq_ghz);
+  if (speed <= 0.0 || grant.share_us <= 0) return 0.0;
+  return speed * us_to_sec(grant.share_us);  // execute()'s can_do.
+}
+
+std::int64_t DataParallelApp::quiet_ticks(ThreadGrant* grants,
+                                          std::int64_t limit) const {
+  // A reached barrier or a closed iteration gives end_tick work to do.
+  if (warmup_remaining_ <= 0.0 && (!iteration_open_ || open_threads_ == 0)) {
+    return 0;
+  }
+  // The engine ran exactly the granted threads last tick; a thread that
+  // finished its share (or one that has work but no grant) flips.
+  for (int i = 0; i < thread_count(); ++i) {
+    if ((grants[i].share_us > 0) != (pending_work(i) != nullptr)) return 0;
+  }
+  for (int i = 0; i < thread_count() && limit > 0; ++i) {
+    ThreadGrant& grant = grants[i];
+    grant.used_us = 0;
+    const WorkUnits can_do = full_share_work(grant);
+    if (can_do <= 0.0) continue;  // Not run, or execute() returns 0.
+    const double speed = thread_speed(grant.type, grant.freq_ghz);
+    grant.used_us = static_cast<TimeUs>(can_do / speed * kUsPerSec);
+    // A tick is quiet while the work outlasts the share (execute()'s
+    // full-share branch). Far from that point no replay is needed: each
+    // subtraction rounds by at most 2^-53 of the work, so with
+    // limit < 2^24 and work > (limit + 3) * can_do the work provably stays
+    // above can_do for `limit` ticks. Otherwise replay the subtractions.
+    WorkUnits work = *pending_work(i);
+    if (limit < (std::int64_t{1} << 24) &&
+        work > static_cast<double>(limit + 3) * can_do) {
+      continue;
+    }
+    std::int64_t n = 0;
+    while (n < limit && work > can_do) {
+      work -= can_do;
+      ++n;
+    }
+    limit = n;
+  }
+  return limit;
+}
+
+void DataParallelApp::advance_quiet(const ThreadGrant* grants,
+                                    std::int64_t ticks) {
+  for (int i = 0; i < thread_count(); ++i) {
+    WorkUnits* pending = pending_work(i);
+    const WorkUnits can_do = full_share_work(grants[i]);
+    if (pending == nullptr || can_do <= 0.0) continue;
+    for (std::int64_t k = 0; k < ticks; ++k) *pending -= can_do;
+  }
+}
+
 bool DataParallelApp::finished() const {
   return config_.max_iterations >= 0 && iteration_ >= config_.max_iterations &&
          !iteration_open_;

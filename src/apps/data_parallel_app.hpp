@@ -39,6 +39,12 @@ class DataParallelApp final : public App {
   TimeUs execute(int local_tid, TimeUs share_us, CoreType type,
                  double freq_ghz) override;
   void end_tick(TimeUs now) override;
+  /// Quiet while every runnable thread's pending work (the serial
+  /// warm-up on thread 0, or its iteration share) outlasts its full CPU
+  /// share, so no thread reaches the barrier or leaves the warm-up.
+  std::int64_t quiet_ticks(ThreadGrant* grants,
+                           std::int64_t limit) const override;
+  void advance_quiet(const ThreadGrant* grants, std::int64_t ticks) override;
   bool finished() const override;
 
   std::int64_t iterations_completed() const { return iteration_; }
@@ -49,6 +55,15 @@ class DataParallelApp final : public App {
 
  private:
   void start_iteration();
+  /// Pending work of thread `i` (the serial warm-up for thread 0 while
+  /// it lasts), or null when the thread is not runnable.
+  WorkUnits* pending_work(int i);
+  const WorkUnits* pending_work(int i) const {
+    return const_cast<DataParallelApp*>(this)->pending_work(i);
+  }
+  /// The work execute() retires from a full `grant.share_us` share
+  /// (its `can_do`), or 0 when execute() would return 0 untouched.
+  WorkUnits full_share_work(const ThreadGrant& grant) const;
 
   DataParallelConfig config_;
   WorkloadGenerator workload_;

@@ -49,6 +49,14 @@ HARS_HOT void PowerSensor::tick_presummed(TimeUs now, TimeUs tick_us,
                                  const std::vector<double>& cluster_busy,
                                  const std::vector<double>& cluster_freq,
                                  const std::vector<char>& cluster_online) {
+  integrate_span(1, tick_us, cluster_busy, cluster_freq, cluster_online);
+  maybe_sample(now, scratch_watts_);
+}
+
+HARS_HOT void PowerSensor::integrate_span(
+    std::int64_t ticks, TimeUs tick_us, const std::vector<double>& cluster_busy,
+    const std::vector<double>& cluster_freq,
+    const std::vector<char>& cluster_online) {
   const double dt_sec = us_to_sec(tick_us);
   double total = 0.0;
   for (int c = 0; c < machine_->num_clusters(); ++c) {
@@ -56,14 +64,14 @@ HARS_HOT void PowerSensor::tick_presummed(TimeUs now, TimeUs tick_us,
     const double watts = model_->cluster_power_given(
         c, cluster_freq[i], cluster_online[i] != 0, cluster_busy[i]);
     scratch_watts_[i] = watts;
-    cluster_energy_j_[i] += watts * dt_sec;
+    const double joules = watts * dt_sec;
+    for (std::int64_t k = 0; k < ticks; ++k) cluster_energy_j_[i] += joules;
     total += watts;
   }
-  base_energy_j_ += model_->base_watts() * dt_sec;
+  const double base_joules = model_->base_watts() * dt_sec;
+  for (std::int64_t k = 0; k < ticks; ++k) base_energy_j_ += base_joules;
   total += model_->base_watts();
   last_instant_power_ = total;
-
-  maybe_sample(now, scratch_watts_);
 }
 
 void PowerSensor::maybe_sample(TimeUs now,

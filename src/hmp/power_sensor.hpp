@@ -45,6 +45,24 @@ class PowerSensor {
                       const std::vector<double>& cluster_freq,
                       const std::vector<char>& cluster_online);
 
+  /// The number of upcoming ticks of `tick_us` after `now` that end
+  /// before the next sample is due (tick_presummed samples at the first
+  /// tick ending at or past it).
+  std::int64_t ticks_before_sample(TimeUs now, TimeUs tick_us) const {
+    return (next_sample_at_ - now - 1) / tick_us;
+  }
+
+  /// Span form of tick_presummed() for the engine's quiet-span
+  /// fast-forward: exactly `ticks` tick_presummed() calls with the same
+  /// per-cluster inputs, all before the next sample is due (see
+  /// ticks_before_sample), so none of them samples. Each energy
+  /// accumulator receives the same additions in the same order, so the
+  /// totals are bit-identical.
+  void integrate_span(std::int64_t ticks, TimeUs tick_us,
+                      const std::vector<double>& cluster_busy,
+                      const std::vector<double>& cluster_freq,
+                      const std::vector<char>& cluster_online);
+
   /// Exact accumulated energy in joules (per cluster / total).
   double cluster_energy_j(ClusterId cluster) const;
   double total_energy_j() const;

@@ -49,6 +49,7 @@ SimEngine::SimEngine(const PlatformSpec& platform,
 AppId SimEngine::add_app(App* app) {
   assert(app != nullptr);
   const AppId id = static_cast<AppId>(apps_.size());
+  live_slots_.push_back(apps_.size());
   apps_.push_back(app);
   app_needs_begin_.push_back(app->needs_begin_tick() ? 1 : 0);
   app_thread_base_.push_back(static_cast<int>(threads_.size()));
@@ -82,6 +83,7 @@ void SimEngine::remove_app(AppId app_id) {
   }
   app_thread_base_[slot] = -1;
   apps_[slot] = nullptr;
+  live_slots_.erase(std::find(live_slots_.begin(), live_slots_.end(), slot));
 }
 
 SimThread& SimEngine::thread_of(AppId app_id, int local_tid) {
@@ -117,8 +119,27 @@ TimeUs SimEngine::thread_cpu_time_us(AppId app_id, int local_tid) const {
 }
 
 void SimEngine::run_until(TimeUs t) {
-  while (now_ < t) step();
+  while (now_ < t) {
+    step();
+    // Only runs with nothing acting between ticks may skip any: no
+    // manager, no tick hook, and not the per-tick reference path.
+    if (now_ < t && manager_ == nullptr && !tick_hook_ &&
+        !config_.reference_tick) {
+      fast_forward(t);
+    }
+  }
 }
+
+namespace {
+
+/// One runnable thread's equal share of a core's `capacity`. sharers == 1
+/// (one thread per core — the common case once a manager has spread the
+/// threads) skips the integer division; cap / 1 == cap.
+TimeUs equal_share(TimeUs capacity, int sharers) {
+  return sharers <= 1 ? (sharers == 1 ? capacity : 0) : capacity / sharers;
+}
+
+}  // namespace
 
 HARS_HOT void SimEngine::prepare_scratch() {
   TickScratch& s = scratch_;
@@ -207,10 +228,8 @@ HARS_HOT void SimEngine::step() {
 
   {
     obs::PhaseTimer obs_phase(obs::TickPhase::kBeginTick, obs_tick);
-    for (std::size_t i = 0; i < apps_.size(); ++i) {
-      if (apps_[i] != nullptr && app_needs_begin_[i] != 0) {
-        apps_[i]->begin_tick(now_);
-      }
+    for (const std::size_t slot : live_slots_) {
+      if (app_needs_begin_[slot] != 0) apps_[slot]->begin_tick(now_);
     }
   }
 
@@ -223,15 +242,15 @@ HARS_HOT void SimEngine::step() {
   // Refresh runnability and load averages, one app block at a time: the
   // app answers for all of its (contiguous) threads with one virtual
   // dispatch (App::refresh_runnable). Every SimThread's tracker is
-  // default-constructed by add_app, so the EWMA decay for this tick is one
-  // shared constant (asserted below) — computed once instead of one exp2
-  // per thread.
+  // default-constructed by add_app, and the tick never changes, so the
+  // EWMA decay is one constant (asserted below) — computed at the first
+  // tick with threads instead of one exp2 per thread per tick.
   if (!threads_.empty()) {
     obs::PhaseTimer obs_phase(obs::TickPhase::kRunnability, obs_tick);
-    const double decay = threads_.front().load.decay_for(tick);
-    for (std::size_t slot = 0; slot < apps_.size(); ++slot) {
+    if (load_decay_ < 0.0) load_decay_ = threads_.front().load.decay_for(tick);
+    const double decay = load_decay_;
+    for (const std::size_t slot : live_slots_) {
       App* a = apps_[slot];
-      if (a == nullptr) continue;
       const auto n = static_cast<std::size_t>(a->thread_count());
       if (s.runnable_capacity < n) {
         // Grows only when an app with more threads than ever seen joins.
@@ -285,26 +304,11 @@ HARS_HOT void SimEngine::step() {
     }
 
     // Count runnable threads per core, then hand out equal shares. The
-    // scheduler may already track the counts (GTS does); otherwise one pass
-    // over the thread table rebuilds them. The per-core share is computed
-    // once per core (bit-identical to the per-thread division of the
-    // reference path: same operands).
-    const std::vector<int>* counts = scheduler_->runnable_per_core();
-    if (counts == nullptr) {
-      std::fill(s.threads_on_core.begin(), s.threads_on_core.end(), 0);
-      for (const SimThread& t : threads_) {
-        if (t.runnable && t.core >= 0) {
-          ++s.threads_on_core[static_cast<std::size_t>(t.core)];
-        }
-      }
-      counts = &s.threads_on_core;
-    }
+    // per-core share is computed once per core (bit-identical to the
+    // per-thread division of the reference path: same operands).
+    const std::vector<int>& counts = runnable_counts();
     for (std::size_t c = 0; c < s.core_share.size(); ++c) {
-      const int sharers = (*counts)[c];
-      // sharers == 1 (one thread per core — the common case once a manager
-      // has spread the threads) skips the integer division; cap / 1 == cap.
-      s.core_share[c] = sharers <= 1 ? (sharers == 1 ? s.core_capacity[c] : 0)
-                                     : s.core_capacity[c] / sharers;
+      s.core_share[c] = equal_share(s.core_capacity[c], counts[c]);
     }
     // The used -> busy-fraction division repeats heavily (most threads use
     // their whole share), so the last quotient is memoized; when computed,
@@ -329,9 +333,7 @@ HARS_HOT void SimEngine::step() {
 
   {
     obs::PhaseTimer obs_phase(obs::TickPhase::kEndTick, obs_tick);
-    for (App* a : apps_) {
-      if (a != nullptr) a->end_tick(now_);
-    }
+    for (const std::size_t slot : live_slots_) apps_[slot]->end_tick(now_);
   }
 
   if (manager_ != nullptr) {
@@ -348,6 +350,41 @@ HARS_HOT void SimEngine::step() {
   }
 
   obs::PhaseTimer obs_sensor_phase(obs::TickPhase::kSensor, obs_tick);
+  integrate_busy(1);
+  sensor_.tick_presummed(now_, tick, s.cluster_busy, s.cluster_freq,
+                         s.cluster_online);
+  if (config_.audit) {
+    allocg::AllowScope allow("audit diagnostics");
+    audit_tick();
+  }
+
+  obs::counter_add(cat.ticks);
+  // Per-tick allocation telemetry (satellite of the AllocGuard contract):
+  // total allocations this tick (the declared AllowScopes) and undeclared
+  // violations, which must stay at zero.
+  obs::counter_add(cat.tick_allocs, alloc_guard.allocations());
+  obs::counter_add(cat.tick_alloc_violations, alloc_guard.violations());
+}
+
+HARS_HOT const std::vector<int>& SimEngine::runnable_counts() {
+  // The scheduler may already track the counts (GTS does); otherwise one
+  // pass over the thread table rebuilds them.
+  if (const std::vector<int>* counts = scheduler_->runnable_per_core()) {
+    return *counts;
+  }
+  TickScratch& s = scratch_;
+  std::fill(s.threads_on_core.begin(), s.threads_on_core.end(), 0);
+  for (const SimThread& t : threads_) {
+    if (t.runnable && t.core >= 0) {
+      ++s.threads_on_core[static_cast<std::size_t>(t.core)];
+    }
+  }
+  return s.threads_on_core;
+}
+
+HARS_HOT void SimEngine::integrate_busy(std::int64_t ticks) {
+  TickScratch& s = scratch_;
+  const TimeUs tick = config_.tick_us;
   // Busy-sum conservation audit, first half: recompute the per-cluster
   // sums through an independent path (the machine's cluster masks, not
   // the core -> cluster scratch map) before the integration pass below
@@ -375,7 +412,8 @@ HARS_HOT void SimEngine::step() {
     const auto i = static_cast<std::size_t>(c);
     const double b = std::min(tick_busy_[i], 1.0);
     tick_busy_[i] = 0.0;  // Pre-zeroed for the next tick's accumulation.
-    core_busy_us_[i] += b * static_cast<double>(tick);
+    const double busy_us = b * static_cast<double>(tick);
+    for (std::int64_t k = 0; k < ticks; ++k) core_busy_us_[i] += busy_us;
     s.cluster_busy[static_cast<std::size_t>(s.core_cluster[i])] += b;
   }
   if (config_.audit) {
@@ -383,10 +421,10 @@ HARS_HOT void SimEngine::step() {
       const auto i = static_cast<std::size_t>(cl);
       if (s.cluster_busy[i] != audit_cluster_busy[i]) {
         // The diagnostic allocates; the throw must not also trip the
-        // step's AllocGuard mid-unwind.
+        // tick's AllocGuard mid-unwind.
         allocg::AllowScope allow("audit diagnostics");
         throw AuditError(
-            "SimEngine::step: cluster " + std::to_string(cl) +
+            "SimEngine::integrate_busy: cluster " + std::to_string(cl) +
             " busy-sum fed to the presummed sensor (" +
             std::to_string(s.cluster_busy[i]) +
             ") diverges from the mask-walk recomputation (" +
@@ -394,17 +432,87 @@ HARS_HOT void SimEngine::step() {
       }
     }
   }
-  sensor_.tick_presummed(now_, tick, s.cluster_busy, s.cluster_freq,
+}
+
+HARS_HOT void SimEngine::fast_forward(TimeUs until) {
+  // Overhead a detached manager left pending still shrinks a capacity.
+  if (pending_manager_us_ != 0) return;
+  const TimeUs tick = config_.tick_us;
+  // Span ticks end before `until` and before the next sensor sample.
+  std::int64_t span = std::min<std::int64_t>(
+      (until - now_ - 1) / tick, sensor_.ticks_before_sample(now_, tick));
+  if (span <= 0) return;
+  // The span kernel never runs begin_tick, so its apps must not need it.
+  for (const std::size_t slot : live_slots_) {
+    if (app_needs_begin_[slot] != 0) return;
+  }
+
+  AllocGuard alloc_guard("SimEngine::fast_forward");
+  TickScratch& s = scratch_;
+  if (s.grants.size() < threads_.size()) {
+    allocg::AllowScope allow("quiet-span grant growth");
+    s.grants.resize(threads_.size());  // hars-lint: allow(no-alloc): guarded growth
+  }
+
+  // Every app must be quiet under the grants this placement hands out
+  // (each app also rejects a runnability flip against them). No manager
+  // means no overhead: every core's capacity is a full tick.
+  const std::vector<int>& counts = runnable_counts();
+  for (const std::size_t slot : live_slots_) {
+    App& a = *apps_[slot];
+    const auto base = static_cast<std::size_t>(app_thread_base_[slot]);
+    for (int i = 0; i < a.thread_count(); ++i) {
+      const SimThread& t = threads_[base + static_cast<std::size_t>(i)];
+      ThreadGrant& g = s.grants[base + static_cast<std::size_t>(i)];
+      g.share_us = 0;
+      if (!t.runnable || t.core < 0) continue;
+      const auto core = static_cast<std::size_t>(t.core);
+      g.share_us = equal_share(tick, counts[core]);
+      g.type = s.core_type[core];
+      g.freq_ghz = s.core_freq_ghz[core];
+    }
+    span = a.quiet_ticks(&s.grants[base], span);
+    if (span <= 0) return;
+  }
+  span = scheduler_->fixed_point_ticks(machine_, threads_, load_decay_, span);
+  if (span <= 0) return;
+
+  // The span's arithmetic, accumulator by accumulator: each receives the
+  // same operations in the same order as `span` stepped ticks, so every
+  // record stays bit-identical.
+  now_ += span * tick;
+  for (std::int64_t k = 0; k < span; ++k) {
+    // Tick-major: the threads' independent EWMA chains overlap.
+    for (SimThread& t : threads_) {
+      t.load.update_with_decay(t.runnable, load_decay_);
+    }
+  }
+  for (std::size_t i = 0; i < threads_.size(); ++i) {
+    SimThread& t = threads_[i];
+    const ThreadGrant& g = s.grants[i];
+    if (g.share_us <= 0) continue;
+    t.cpu_time_us += g.used_us * span;
+    tick_busy_[static_cast<std::size_t>(t.core)] +=
+        static_cast<double>(g.used_us) / static_cast<double>(tick);
+  }
+  for (const std::size_t slot : live_slots_) {
+    apps_[slot]->advance_quiet(
+        &s.grants[static_cast<std::size_t>(app_thread_base_[slot])], span);
+  }
+  integrate_busy(span);
+  sensor_.integrate_span(span, tick, s.cluster_busy, s.cluster_freq,
                          s.cluster_online);
   if (config_.audit) {
+    // Span boundaries get the full per-tick audit set.
     allocg::AllowScope allow("audit diagnostics");
+    audit_placement();
     audit_tick();
   }
 
-  obs::counter_add(cat.ticks);
-  // Per-tick allocation telemetry (satellite of the AllocGuard contract):
-  // total allocations this tick (the declared AllowScopes) and undeclared
-  // violations, which must stay at zero.
+  const obs::Catalog& cat = obs::catalog();
+  obs::counter_add(cat.ticks, static_cast<std::uint64_t>(span));
+  obs::counter_add(cat.ff_ticks, static_cast<std::uint64_t>(span));
+  obs::counter_add(cat.ff_spans);
   obs::counter_add(cat.tick_allocs, alloc_guard.allocations());
   obs::counter_add(cat.tick_alloc_violations, alloc_guard.violations());
 }
@@ -499,6 +607,7 @@ void SimEngine::audit_now() const {
                      "with the app slot table");
   }
   std::size_t alive_threads = 0;
+  std::size_t alive_apps = 0;
   for (std::size_t slot = 0; slot < n_slots; ++slot) {
     const App* a = apps_[slot];
     const int base = app_thread_base_[slot];
@@ -510,6 +619,12 @@ void SimEngine::audit_now() const {
       }
       continue;
     }
+    if (alive_apps >= live_slots_.size() || live_slots_[alive_apps] != slot) {
+      throw AuditError("SimEngine::audit_now: live app slot " +
+                       std::to_string(slot) +
+                       " is missing from the ascending live-slot list");
+    }
+    ++alive_apps;
     const int count = a->thread_count();
     if (base < 0 ||
         static_cast<std::size_t>(base) + static_cast<std::size_t>(count) >
@@ -533,6 +648,11 @@ void SimEngine::audit_now() const {
       }
     }
     alive_threads += static_cast<std::size_t>(count);
+  }
+  if (alive_apps != live_slots_.size()) {
+    throw AuditError("SimEngine::audit_now: the live-slot list holds " +
+                     std::to_string(live_slots_.size()) + " slots for " +
+                     std::to_string(alive_apps) + " live apps");
   }
   if (alive_threads != threads_.size()) {
     throw AuditError("SimEngine::audit_now: alive apps account for " +

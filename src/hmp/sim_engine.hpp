@@ -14,6 +14,11 @@
 //      runtime overhead both consumes capacity and burns power,
 //   6. integrates power and advances the sensor.
 //
+// Manager-less, hook-less runs additionally fast-forward through *quiet*
+// tick spans (no runnability flip, re-placement, finished share,
+// heartbeat or sensor sample) in a kernel that applies only the
+// per-accumulator arithmetic of those ticks; see fast_forward().
+//
 // The engine exposes the "syscall surface" the paper's user-level runtime
 // uses on Linux: sched_setaffinity (set_thread_affinity), cpufreq
 // (machine().set_freq_level) and hotplug (machine().set_online_mask).
@@ -70,6 +75,7 @@ struct TickScratch {
   std::vector<double> cluster_busy;    ///< Per-cluster busy sum for the sensor.
   std::vector<double> cluster_freq;    ///< Per-cluster DVFS snapshot.
   std::vector<char> cluster_online;    ///< Any core of the cluster online?
+  std::vector<ThreadGrant> grants;     ///< Per thread: quiet-span grants.
   std::unique_ptr<bool[]> runnable;    ///< App::refresh_runnable buffer.
   std::size_t runnable_capacity = 0;   ///< Allocated size of `runnable`.
   std::uint64_t dvfs_epoch = 0;        ///< Machine epoch the snapshot is for.
@@ -215,6 +221,21 @@ class SimEngine {
 
   void step();
   void step_reference();
+  /// Quiet-span fast-forward, tried after each step() of run_until(`until`)
+  /// while no manager and no tick hook are attached: when the scheduler
+  /// reports a placement fixed point and every app a quiet horizon,
+  /// advances through those ticks with only their per-accumulator
+  /// arithmetic — bit-identical to stepping them. The tick reaching
+  /// `until` and the next sensor-sampling tick stay on the normal path.
+  void fast_forward(TimeUs until);
+  /// Runnable threads per core after the latest assign(): the
+  /// scheduler's counts when it tracks them, else a counting pass.
+  const std::vector<int>& runnable_counts();
+  /// Clamps the accumulated per-core busy fractions (re-zeroing
+  /// tick_busy_), adds them to lifetime busy time `ticks` times and
+  /// leaves the per-cluster sums in TickScratch::cluster_busy for the
+  /// sensor; under audit, cross-checks the sums bit-exactly.
+  void integrate_busy(std::int64_t ticks);
   /// Post-assign check: every runnable placed thread sits on an online
   /// core inside its affinity set (or the online fallback). Runs
   /// immediately after scheduler assignment — NOT at end of step — since
@@ -241,6 +262,9 @@ class SimEngine {
   SimConfig config_;
 
   std::vector<App*> apps_;  ///< Slot per AppId; null once removed.
+  /// Ascending slots of the live apps: the tick loops walk these, not
+  /// the (null-riddled, under churn) slot table.
+  std::vector<std::size_t> live_slots_;
   /// Per slot: App::needs_begin_tick(), cached at add_app so the tick
   /// path skips the no-op virtual dispatch.
   std::vector<char> app_needs_begin_;
@@ -261,6 +285,9 @@ class SimEngine {
   std::vector<double> core_busy_us_;  ///< Lifetime busy time per core.
   std::vector<double> tick_busy_;     ///< Scratch: per-core busy fraction.
   TickScratch scratch_;               ///< Per-tick scratch (optimized path).
+  /// The per-tick load EWMA factor, cached at the first tick with threads
+  /// (every tracker shares the default half-life; asserted per tick).
+  double load_decay_ = -1.0;
   /// True while TickScratch::core_capacity may hold a value other than a
   /// full tick (manager overhead was charged); forces a refill.
   bool capacity_dirty_ = true;

@@ -66,6 +66,12 @@ Catalog build_catalog() {
         "Sampled wall time of one tick phase (ns)");
   }
 
+  c.ff_ticks = reg.register_counter(
+      "sim.ff_ticks",
+      "Ticks advanced by the quiet-span fast-forward (also in engine.ticks)");
+  c.ff_spans = reg.register_counter(
+      "sim.ff_spans", "Quiet spans the engine fast-forwarded through");
+
   c.memo_unit_time_hits = reg.register_counter(
       "search.memo.unit_time_hits", "SearchScratch unit-time memo hits");
   c.memo_unit_time_misses = reg.register_counter(

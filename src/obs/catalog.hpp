@@ -42,6 +42,8 @@ struct Catalog {
   CounterId tick_allocs;            ///< engine.tick_allocs
   CounterId tick_alloc_violations;  ///< engine.tick_alloc_violations
   HistId tick_phase_ns[static_cast<int>(TickPhase::kCount)];
+  CounterId ff_ticks;               ///< sim.ff_ticks
+  CounterId ff_spans;               ///< sim.ff_spans
 
   // --- Search / memoization ---
   CounterId memo_unit_time_hits;    ///< search.memo.unit_time_hits

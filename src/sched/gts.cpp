@@ -27,6 +27,68 @@ void GtsScheduler::prime_topology(const Machine& machine) {
   sig_valid_ = false;
 }
 
+std::uint8_t GtsScheduler::tier_of(double load) const {
+  if (load >= config_.up_threshold) return 0;
+  if (load <= config_.down_threshold) return 1;
+  return 2;
+}
+
+HARS_HOT bool GtsScheduler::placement_is_fixed_point(
+    CpuMask online, const std::vector<SimThread>& threads) const {
+  if (config_.idle_pull || !sig_valid_ || !last_stable_ ||
+      online.bits() != prev_online_bits_ ||
+      threads.size() != prev_sig_.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    const SimThread& t = threads[i];
+    const ThreadSig& sig = prev_sig_[i];
+    // An unplaced runnable thread (fresh spawn reusing this index)
+    // always needs a full run — it is not part of any fixed point —
+    // and so does any thread-identity change (kill + spawn can restore
+    // the same table size with every index reshuffled).
+    if (t.id != sig.id || t.runnable != sig.runnable ||
+        t.affinity.bits() != sig.affinity ||
+        tier_of(t.load.value()) != sig.tier || (t.runnable && t.core < 0)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+HARS_HOT std::int64_t GtsScheduler::fixed_point_ticks(
+    const Machine& machine, const std::vector<SimThread>& threads,
+    double decay, std::int64_t limit) const {
+  if (config_.reference || cached_machine_ != &machine ||
+      !placement_is_fixed_point(machine.online_mask(), threads)) {
+    return 0;
+  }
+  // The predicate keeps holding until some thread's load leaves its tier.
+  // Loads only move toward their thread's end: an idle load never rises
+  // (fl(v * decay) <= v), and with decay >= 1/2 a runnable step lands
+  // within 2^-52 of its exact rise, so it never drops below
+  // min(v, rise_floor). A load already in that end's tier keeps it; any
+  // other load is replayed to find the first tick it leaves its tier.
+  const double rise_floor = 1.0 - 0x1p-51 / (1.0 - decay);
+  const bool up_sticks = decay >= 0.5 && config_.up_threshold <= rise_floor;
+  for (const SimThread& t : threads) {
+    const std::uint8_t tier = tier_of(t.load.value());
+    if (t.runnable ? (up_sticks && tier == 0) : tier == 1) continue;
+    LoadTracker load = t.load;
+    for (std::int64_t k = 1; k <= limit; ++k) {
+      const double before = load.value();
+      load.update_with_decay(t.runnable, decay);
+      if (tier_of(load.value()) != tier) {
+        limit = k - 1;
+        break;
+      }
+      if (load.value() == before) break;  // Fixed point: the tier holds.
+    }
+    if (limit == 0) break;
+  }
+  return limit;
+}
+
 HARS_HOT void GtsScheduler::assign(const Machine& machine,
                                    std::vector<SimThread>& threads) {
   if (config_.reference) {
@@ -41,35 +103,10 @@ HARS_HOT void GtsScheduler::assign(const Machine& machine,
 
   // Stable-placement skip: the current placement is a fixed point and no
   // decision input changed, so a full run would reproduce it exactly.
-  auto tier_of = [&](const SimThread& t) -> std::uint8_t {
-    const double load = t.load.value();
-    if (load >= config_.up_threshold) return 0;
-    if (load <= config_.down_threshold) return 1;
-    return 2;
-  };
-  if (!config_.idle_pull && sig_valid_ && last_stable_ &&
-      online.bits() == prev_online_bits_ &&
-      threads.size() == prev_sig_.size()) {
-    bool same = true;
-    for (std::size_t i = 0; i < threads.size(); ++i) {
-      const SimThread& t = threads[i];
-      const ThreadSig& sig = prev_sig_[i];
-      // An unplaced runnable thread (fresh spawn reusing this index)
-      // always needs a full run — it is not part of any fixed point —
-      // and so does any thread-identity change (kill + spawn can restore
-      // the same table size with every index reshuffled).
-      if (t.id != sig.id || t.runnable != sig.runnable ||
-          t.affinity.bits() != sig.affinity || tier_of(t) != sig.tier ||
-          (t.runnable && t.core < 0)) {
-        same = false;
-        break;
-      }
-    }
-    if (same) {
-      // core_load_ from the last full run still holds.
-      obs::counter_add(obs::catalog().gts_assign_skips);
-      return;
-    }
+  if (placement_is_fixed_point(online, threads)) {
+    // core_load_ from the last full run still holds.
+    obs::counter_add(obs::catalog().gts_assign_skips);
+    return;
   }
 
   // Number of runnable threads currently packed on each core; reused
@@ -114,7 +151,7 @@ HARS_HOT void GtsScheduler::assign(const Machine& machine,
     sig.affinity = t.affinity.bits();
     sig.id = t.id;
     sig.runnable = t.runnable;
-    sig.tier = tier_of(t);
+    sig.tier = tier_of(t.load.value());
     if (!t.runnable) {
       // Sleeping threads keep their last core for stickiness but occupy
       // no capacity.

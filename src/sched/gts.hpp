@@ -48,6 +48,13 @@ class GtsScheduler final : public Scheduler {
     return config_.reference ? nullptr : &core_load_;
   }
 
+  /// Answers from the stable-placement skip's own predicate; 0 with
+  /// idle_pull (whose pulls are not covered by it) and in reference mode.
+  std::int64_t fixed_point_ticks(const Machine& machine,
+                                 const std::vector<SimThread>& threads,
+                                 double decay,
+                                 std::int64_t limit) const override;
+
   const char* name() const override { return "gts"; }
 
   const GtsConfig& config() const { return config_; }
@@ -57,6 +64,12 @@ class GtsScheduler final : public Scheduler {
                         std::vector<SimThread>& threads);
   /// Rebuilds the immutable-topology caches when first seeing `machine`.
   void prime_topology(const Machine& machine);
+  /// GTS load tier: 0 = up, 1 = down, 2 = between thresholds.
+  std::uint8_t tier_of(double load) const;
+  /// The stable-placement skip's predicate (see below): true when a full
+  /// assign() over `threads` would reproduce the current placement.
+  bool placement_is_fixed_point(CpuMask online,
+                                const std::vector<SimThread>& threads) const;
 
   GtsConfig config_;
   std::vector<int> core_load_;  ///< Per-call scratch, pre-sized once.

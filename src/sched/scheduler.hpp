@@ -49,6 +49,25 @@ class Scheduler {
   /// table yields, so the engine can skip that pass.
   virtual const std::vector<int>* runnable_per_core() const { return nullptr; }
 
+  /// Fixed-point query for the engine's quiet-span fast-forward: the
+  /// number of upcoming ticks, at most `limit`, over which assign() would
+  /// provably leave every placement (and runnable_per_core()) as it is
+  /// now, given that the table changes only by each thread's load
+  /// advancing one LoadTracker::update_with_decay(t.runnable, decay) per
+  /// tick — no runnability, affinity, membership or hotplug change. The
+  /// default, 0, never fast-forwards; decorators that do not forward it
+  /// therefore keep the per-tick path.
+  virtual std::int64_t fixed_point_ticks(const Machine& machine,
+                                         const std::vector<SimThread>& threads,
+                                         double decay,
+                                         std::int64_t limit) const {
+    (void)machine;
+    (void)threads;
+    (void)decay;
+    (void)limit;
+    return 0;
+  }
+
   virtual const char* name() const = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "svc/daemon.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <sstream>
@@ -31,7 +32,28 @@ struct ServiceDaemon::Connection {
   std::thread writer;
   std::mutex runners_mutex;
   std::vector<std::thread> runners;
+  /// Runners that have returned but are not joined yet (runners_mutex).
+  std::vector<std::thread::id> returned_runners;
   std::atomic<bool> done{false};
+
+  /// Called by a runner as its last action.
+  void runner_returned() {
+    std::lock_guard<std::mutex> lock(runners_mutex);
+    returned_runners.push_back(std::this_thread::get_id());
+  }
+
+  /// Joins the runners that have returned, so a long-lived connection
+  /// holds only its in-flight campaigns' threads. Needs runners_mutex.
+  void join_returned_runners() {
+    for (const std::thread::id id : returned_runners) {
+      const auto it = std::find_if(
+          runners.begin(), runners.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      it->join();
+      runners.erase(it);
+    }
+    returned_runners.clear();
+  }
 
   /// Frames (already enveloped) flow through the bounded queue; a
   /// false push (teardown races) is deliberately ignored.
@@ -217,6 +239,7 @@ void ServiceDaemon::handle_connection(Connection* connection) {
   {
     std::lock_guard<std::mutex> lock(connection->runners_mutex);
     runners.swap(connection->runners);
+    connection->returned_runners.clear();
   }
   for (std::thread& runner : runners) runner.join();
   connection->queue.close();
@@ -349,6 +372,7 @@ void ServiceDaemon::handle_submit(Connection* connection,
   connection->send(encode_ack(ack));
 
   std::lock_guard<std::mutex> lock(connection->runners_mutex);
+  connection->join_returned_runners();
   if (campaign_request.mode == "run") {
     connection->runners.emplace_back(&ServiceDaemon::run_single_campaign,
                                      this, connection, request, campaign);
@@ -397,6 +421,7 @@ void ServiceDaemon::run_sweep_campaign(Connection* connection, Request request,
   }
   scheduler_.unregister_campaign(campaign->id);
   sessions_.release_campaign(connection->session, charged);
+  connection->runner_returned();
 }
 
 void ServiceDaemon::run_single_campaign(
@@ -423,6 +448,7 @@ void ServiceDaemon::run_single_campaign(
   }
   scheduler_.unregister_campaign(campaign->id);
   sessions_.release_campaign(connection->session, 1);
+  connection->runner_returned();
 }
 
 void ServiceDaemon::force_close_connections() {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -294,6 +295,48 @@ TEST(DaemonLoopback, StatsReportSessionsCampaignsAndCacheTier) {
     }
   }
   EXPECT_TRUE(calibration_row);
+}
+
+/// Memory mappings of this process (Linux /proc/self/maps lines). Every
+/// live or unjoined thread holds a stack mapping of its own.
+std::size_t process_mappings() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+TEST(DaemonLoopback, LongLivedConnectionJoinsFinishedRunners) {
+  if (!std::ifstream("/proc/self/maps")) {
+    GTEST_SKIP() << "no /proc/self/maps to count thread stacks";
+  }
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "ThreadSanitizer maps memory for every thread it has seen";
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "ThreadSanitizer maps memory for every thread it has seen";
+#endif
+#endif
+  DaemonHarness harness(/*jobs=*/1);
+  ServiceClient client(harness.address());
+  CampaignRequest campaign;
+  campaign.benches = {"SW"};
+  campaign.variants = {"Baseline"};
+  campaign.duration_sec = 1.0;
+  const auto submit = [&] {
+    const SubmitOutcome outcome =
+        client.submit_sweep(campaign, [](const Record&) {});
+    ASSERT_TRUE(outcome.ok);
+  };
+  submit();
+  submit();
+  const std::size_t mappings = process_mappings();
+  for (int i = 0; i < 40; ++i) submit();
+  // Each campaign runs on its own runner thread. A finished runner is
+  // joined at the connection's next submit, so its stack is reused;
+  // unjoined, every campaign would keep one more stack mapped until the
+  // client disconnects.
+  EXPECT_LE(process_mappings(), mappings + 8);
 }
 
 }  // namespace
