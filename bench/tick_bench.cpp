@@ -10,8 +10,9 @@
 //     pool (--jobs N) with a byte-identical-records assertion — the
 //     engine must produce the same metrics at any parallelism.
 //  2. Speedup: the staggered scenario on exynos5422 under all eight
-//     runtime versions, plus plain single-app Baseline and SO runs (no
-//     manager, no tick hook: the runs the engine fast-forwards), on the
+//     runtime versions, plus a plain run of each (no tick hook: the runs
+//     the engine fast-forwards, absorbing managers' no-news polls) —
+//     bodytrack alone, or Fig 5.4 case 1 for multi-app versions — on the
 //     optimized tick/search path and on the retained reference path
 //     (--reference semantics of ExperimentBuilder::reference_impl),
 //     min of --reps repetitions; the geomean covers the staggered rows.
@@ -228,12 +229,13 @@ int main(int argc, char** argv) {
               grid_identical ? "identical" : "DIVERGENT");
 
   // ---- Part 2: optimized vs reference on the staggered scenario --------
-  // Plus manager-less, hook-less plain runs: the staggered scenario's tick
-  // hook keeps the quiet-span fast-forward off, so only these rows compare
-  // fast-forwarded runs against the per-tick reference path.
+  // Plus hook-less plain runs of every variant: the staggered scenario's
+  // tick hook keeps the quiet-span fast-forward off, so only these rows
+  // compare fast-forwarded runs (managed ones included) against the
+  // per-tick reference path.
   struct SpeedupRow {
     std::string variant;
-    std::string scenario;  ///< "staggered", or "plain" (one app, no hook).
+    std::string scenario;  ///< "staggered", or "plain" (no hook).
     double opt_tps = 0.0;
     double ref_tps = 0.0;
     bool identical = false;
@@ -249,7 +251,12 @@ int main(int argc, char** argv) {
         .duration_sec(speedup_duration_sec)
         .reference_impl(reference);
     if (scenario == "plain") {
-      b.app(ParsecBenchmark::kBodytrack);
+      const VariantEntry* entry = VariantRegistry::instance().find(variant);
+      if (entry->traits.min_apps > 1) {
+        b.apps(multiapp_cases().front());  // Fig 5.4 case 1 (BO+SW).
+      } else {
+        b.app(ParsecBenchmark::kBodytrack);
+      }
     } else {
       b.scenario(std::string_view(scenario));
     }
@@ -264,7 +271,7 @@ int main(int argc, char** argv) {
   for (const std::string& variant : VariantRegistry::instance().names()) {
     speedup_cases.emplace_back(variant, "staggered");
   }
-  for (const char* variant : {"Baseline", "SO"}) {
+  for (const std::string& variant : VariantRegistry::instance().names()) {
     speedup_cases.emplace_back(variant, "plain");
   }
   for (const auto& [variant, scenario] : speedup_cases) {

@@ -43,12 +43,16 @@ struct SpeedModel {
 /// One thread's CPU grant for every tick of a quiet span (SimEngine's
 /// fast-forward): the share and the core it would be handed by
 /// execute() each tick. A share of 0 means the engine does not execute
-/// the thread (it is not runnable or not placed).
+/// the thread (it is not runnable or not placed). A span tick is either
+/// full or *short*: the manager core lost one overhead charge, so the
+/// threads on it get `short_share_us` (everyone else's equals share_us).
 struct ThreadGrant {
   TimeUs share_us = 0;
+  TimeUs short_share_us = 0;
   CoreType type = CoreType::kLittle;
   double freq_ghz = 0.0;
-  TimeUs used_us = 0;  ///< Out (App::quiet_ticks): CPU time used per tick.
+  TimeUs used_us = 0;        ///< Out (App::quiet_ticks): per full tick.
+  TimeUs short_used_us = 0;  ///< Out (App::quiet_ticks): per short tick.
 };
 
 class App {
@@ -103,23 +107,29 @@ class App {
   /// upcoming ticks, at most `limit`, in which executing every thread
   /// with `grants` (one per thread, in thread order) and then end_tick()
   /// would change nothing but per-thread work progress: every executed
-  /// thread uses the same CPU time each tick (written to
-  /// grants[i].used_us), runnable() answers stay as they are now, and no
-  /// heartbeat is emitted. The engine grants a positive share exactly to
-  /// the threads it ran last tick, so an app whose runnable() now differs
-  /// from that must answer 0. The default, 0, never fast-forwards.
+  /// thread uses the same CPU time each full tick and each short tick
+  /// (written to grants[i].used_us / short_used_us), runnable() answers
+  /// stay as they are now, and no heartbeat is emitted. `short_ticks[k]`
+  /// says whether upcoming tick k is short; null means every tick is
+  /// full. The engine grants a positive share exactly to the threads it
+  /// ran last tick, so an app whose runnable() now differs from that must
+  /// answer 0. The default, 0, never fast-forwards.
   virtual std::int64_t quiet_ticks(ThreadGrant* grants,
+                                   const bool* short_ticks,
                                    std::int64_t limit) const {
     (void)grants;
+    (void)short_ticks;
     (void)limit;
     return 0;
   }
 
   /// Applies `ticks` quiet ticks (at most the last quiet_ticks() answer
-  /// for the same grants): the exact state change of that many
-  /// execute()/end_tick() rounds.
-  virtual void advance_quiet(const ThreadGrant* grants, std::int64_t ticks) {
+  /// for the same grants and tick flags): the exact state change of that
+  /// many execute()/end_tick() rounds, in tick order.
+  virtual void advance_quiet(const ThreadGrant* grants,
+                             const bool* short_ticks, std::int64_t ticks) {
     (void)grants;
+    (void)short_ticks;
     (void)ticks;
   }
 

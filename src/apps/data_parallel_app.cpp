@@ -121,13 +121,15 @@ WorkUnits* DataParallelApp::pending_work(int i) {
   return iteration_open_ && rem > 0.0 ? &rem : nullptr;
 }
 
-WorkUnits DataParallelApp::full_share_work(const ThreadGrant& grant) const {
+WorkUnits DataParallelApp::share_work(const ThreadGrant& grant,
+                                      TimeUs share_us) const {
   const double speed = thread_speed(grant.type, grant.freq_ghz);
-  if (speed <= 0.0 || grant.share_us <= 0) return 0.0;
-  return speed * us_to_sec(grant.share_us);  // execute()'s can_do.
+  if (speed <= 0.0 || share_us <= 0) return 0.0;
+  return speed * us_to_sec(share_us);  // execute()'s can_do.
 }
 
 std::int64_t DataParallelApp::quiet_ticks(ThreadGrant* grants,
+                                          const bool* short_ticks,
                                           std::int64_t limit) const {
   // A reached barrier or a closed iteration gives end_tick work to do.
   if (warmup_remaining_ <= 0.0 && (!iteration_open_ || open_threads_ == 0)) {
@@ -141,23 +143,36 @@ std::int64_t DataParallelApp::quiet_ticks(ThreadGrant* grants,
   for (int i = 0; i < thread_count() && limit > 0; ++i) {
     ThreadGrant& grant = grants[i];
     grant.used_us = 0;
-    const WorkUnits can_do = full_share_work(grant);
+    grant.short_used_us = 0;
+    const WorkUnits can_do = share_work(grant, grant.share_us);
     if (can_do <= 0.0) continue;  // Not run, or execute() returns 0.
     const double speed = thread_speed(grant.type, grant.freq_ghz);
     grant.used_us = static_cast<TimeUs>(can_do / speed * kUsPerSec);
-    // A tick is quiet while the work outlasts the share (execute()'s
-    // full-share branch). Far from that point no replay is needed: each
-    // subtraction rounds by at most 2^-53 of the work, so with
-    // limit < 2^24 and work > (limit + 3) * can_do the work provably stays
-    // above can_do for `limit` ticks. Otherwise replay the subtractions.
+    // Only the manager core's threads see a different share on short ticks.
+    WorkUnits short_can_do = can_do;
+    grant.short_used_us = grant.used_us;
+    if (grant.short_share_us != grant.share_us) {
+      short_can_do = share_work(grant, grant.short_share_us);
+      grant.short_used_us =
+          static_cast<TimeUs>(short_can_do / speed * kUsPerSec);
+    }
+    // A tick is quiet while the work outlasts that tick's share
+    // (execute()'s full-share branch). Far from that point no replay is
+    // needed: each subtraction rounds by at most 2^-53 of the work, so
+    // with limit < 2^24 and work > (limit + 3) * (the larger can_do) the
+    // work provably stays above either can_do for `limit` ticks.
+    // Otherwise replay the subtractions in tick order.
     WorkUnits work = *pending_work(i);
     if (limit < (std::int64_t{1} << 24) &&
-        work > static_cast<double>(limit + 3) * can_do) {
+        work > static_cast<double>(limit + 3) * std::max(can_do, short_can_do)) {
       continue;
     }
     std::int64_t n = 0;
-    while (n < limit && work > can_do) {
-      work -= can_do;
+    while (n < limit) {
+      const WorkUnits c =
+          short_ticks != nullptr && short_ticks[n] ? short_can_do : can_do;
+      if (!(work > c)) break;
+      work -= c;
       ++n;
     }
     limit = n;
@@ -166,12 +181,23 @@ std::int64_t DataParallelApp::quiet_ticks(ThreadGrant* grants,
 }
 
 void DataParallelApp::advance_quiet(const ThreadGrant* grants,
+                                    const bool* short_ticks,
                                     std::int64_t ticks) {
   for (int i = 0; i < thread_count(); ++i) {
+    const ThreadGrant& grant = grants[i];
     WorkUnits* pending = pending_work(i);
-    const WorkUnits can_do = full_share_work(grants[i]);
+    const WorkUnits can_do = share_work(grant, grant.share_us);
     if (pending == nullptr || can_do <= 0.0) continue;
-    for (std::int64_t k = 0; k < ticks; ++k) *pending -= can_do;
+    if (short_ticks == nullptr || grant.short_share_us == grant.share_us) {
+      for (std::int64_t k = 0; k < ticks; ++k) *pending -= can_do;
+      continue;
+    }
+    // The manager core's threads: short ticks retire the smaller share
+    // (0 when execute() is not called; subtracting 0.0 is the identity).
+    const WorkUnits short_can_do = share_work(grant, grant.short_share_us);
+    for (std::int64_t k = 0; k < ticks; ++k) {
+      *pending -= short_ticks[k] ? short_can_do : can_do;
+    }
   }
 }
 

@@ -40,11 +40,12 @@ class DataParallelApp final : public App {
                  double freq_ghz) override;
   void end_tick(TimeUs now) override;
   /// Quiet while every runnable thread's pending work (the serial
-  /// warm-up on thread 0, or its iteration share) outlasts its full CPU
-  /// share, so no thread reaches the barrier or leaves the warm-up.
-  std::int64_t quiet_ticks(ThreadGrant* grants,
+  /// warm-up on thread 0, or its iteration share) outlasts each tick's
+  /// CPU share, so no thread reaches the barrier or leaves the warm-up.
+  std::int64_t quiet_ticks(ThreadGrant* grants, const bool* short_ticks,
                            std::int64_t limit) const override;
-  void advance_quiet(const ThreadGrant* grants, std::int64_t ticks) override;
+  void advance_quiet(const ThreadGrant* grants, const bool* short_ticks,
+                     std::int64_t ticks) override;
   bool finished() const override;
 
   std::int64_t iterations_completed() const { return iteration_; }
@@ -61,9 +62,10 @@ class DataParallelApp final : public App {
   const WorkUnits* pending_work(int i) const {
     return const_cast<DataParallelApp*>(this)->pending_work(i);
   }
-  /// The work execute() retires from a full `grant.share_us` share
-  /// (its `can_do`), or 0 when execute() would return 0 untouched.
-  WorkUnits full_share_work(const ThreadGrant& grant) const;
+  /// The work execute() retires from a full `share_us` share on the
+  /// grant's core (its `can_do`), or 0 when execute() would return 0
+  /// untouched or not be called.
+  WorkUnits share_work(const ThreadGrant& grant, TimeUs share_us) const;
 
   DataParallelConfig config_;
   WorkloadGenerator workload_;

@@ -28,6 +28,8 @@
 // on simulated or wall-clock time with the same code.
 #pragma once
 
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "heartbeats/heartbeat.hpp"
@@ -40,6 +42,22 @@ namespace hars {
 class PowerModel;  // hmp/power_model.hpp
 class SimEngine;   // hmp/sim_engine.hpp
 
+/// A manager's upcoming polls, as the simulator's quiet-span fast-forward
+/// needs them (ManagerHook::poll_plan). on_tick polls at the first tick
+/// ending at or after `next_poll_us`, then `period_us` after each poll; a
+/// poll that finds no new heartbeat costs `cost_us` and changes nothing
+/// but the next poll time. The default plan is an idle manager.
+struct PollPlan {
+  static constexpr TimeUs kNever = std::numeric_limits<TimeUs>::max();
+
+  TimeUs next_poll_us = kNever;  ///< kNever: the manager never polls.
+  TimeUs period_us = 0;
+  TimeUs cost_us = 0;
+  /// Every managed app's latest heartbeat has been seen, so polls find
+  /// no news until some managed app emits one.
+  bool absorbable = false;
+};
+
 /// Runtime managers (HARS, MP-HARS, CONS-I) attach to a backend through
 /// this hook. `on_tick` returns the CPU time (us) the manager consumed so
 /// the simulator can charge it as overhead (live backends pay it for
@@ -48,6 +66,15 @@ class ManagerHook {
  public:
   virtual ~ManagerHook() = default;
   virtual TimeUs on_tick(TimeUs now) = 0;
+
+  /// The polls to come. The default, no plan, keeps the simulator
+  /// stepping every tick.
+  virtual std::optional<PollPlan> poll_plan() const { return std::nullopt; }
+
+  /// Replaces the no-news polls a quiet span skipped, the last of them
+  /// at `last_poll_us`, with their exact state change. Called only while
+  /// poll_plan() answers absorbable.
+  virtual void absorb_polls(TimeUs last_poll_us) { (void)last_poll_us; }
 };
 
 /// What a backend can actually do on its platform; probed at

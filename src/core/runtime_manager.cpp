@@ -78,6 +78,12 @@ void RuntimeManager::apply_state(const SystemState& state) {
                         little_set(state));
 }
 
+std::optional<PollPlan> RuntimeManager::poll_plan() const {
+  const std::int64_t idx = backend_.heartbeats(app_).last_index();
+  return PollPlan{next_poll_, config_.poll_period_us, config_.poll_cost_us,
+                  idx < 0 || idx == last_seen_hb_};  // on_tick's no-news test.
+}
+
 TimeUs RuntimeManager::on_tick(TimeUs now) {
   if (now < next_poll_) return 0;
   // Manager bookkeeping (trace growth, predictor state, schedule

@@ -37,6 +37,8 @@ struct TracePoint {
   int little_cores = 0;  ///< Allocated little cores.
   double big_freq_ghz = 0.0;
   double little_freq_ghz = 0.0;
+
+  friend bool operator==(const TracePoint&, const TracePoint&) = default;
 };
 
 struct RuntimeManagerConfig {
@@ -92,6 +94,10 @@ class RuntimeManager : public ManagerHook {
                  PowerCoeffTable coeffs, RuntimeManagerConfig config = {});
 
   TimeUs on_tick(TimeUs now) override;
+  std::optional<PollPlan> poll_plan() const override;
+  void absorb_polls(TimeUs last_poll_us) override {
+    next_poll_ = last_poll_us + config_.poll_period_us;
+  }
 
   const SystemState& current_state() const { return state_; }
   const std::vector<TracePoint>& trace() const { return trace_; }

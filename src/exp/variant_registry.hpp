@@ -88,6 +88,12 @@ class VariantInstance : public ManagerHook {
   TimeUs on_tick(TimeUs now) override {
     return (inner_ && !inner_muted_) ? inner_->on_tick(now) : 0;
   }
+  std::optional<PollPlan> poll_plan() const override {
+    return (inner_ && !inner_muted_) ? inner_->poll_plan() : PollPlan{};
+  }
+  void absorb_polls(TimeUs last_poll_us) override {
+    if (inner_ && !inner_muted_) inner_->absorb_polls(last_poll_us);
+  }
 
   // --- Scenario hooks (dynamic app sets) ---
   /// A scenario spawned `app` mid-run; the engine already has it and its

@@ -56,22 +56,39 @@ HARS_HOT void PowerSensor::tick_presummed(TimeUs now, TimeUs tick_us,
 HARS_HOT void PowerSensor::integrate_span(
     std::int64_t ticks, TimeUs tick_us, const std::vector<double>& cluster_busy,
     const std::vector<double>& cluster_freq,
-    const std::vector<char>& cluster_online) {
+    const std::vector<char>& cluster_online, const bool* short_ticks,
+    const std::vector<double>* short_busy) {
   const double dt_sec = us_to_sec(tick_us);
+  // The last tick's class sets the instantaneous power and sample watts.
+  const bool last_short = short_ticks != nullptr && short_ticks[ticks - 1];
   double total = 0.0;
+  double short_total = 0.0;
   for (int c = 0; c < machine_->num_clusters(); ++c) {
     const auto i = static_cast<std::size_t>(c);
     const double watts = model_->cluster_power_given(
         c, cluster_freq[i], cluster_online[i] != 0, cluster_busy[i]);
-    scratch_watts_[i] = watts;
     const double joules = watts * dt_sec;
-    for (std::int64_t k = 0; k < ticks; ++k) cluster_energy_j_[i] += joules;
     total += watts;
+    if (short_ticks == nullptr || (*short_busy)[i] == cluster_busy[i]) {
+      scratch_watts_[i] = watts;
+      short_total += watts;
+      for (std::int64_t k = 0; k < ticks; ++k) cluster_energy_j_[i] += joules;
+      continue;
+    }
+    const double short_watts = model_->cluster_power_given(
+        c, cluster_freq[i], cluster_online[i] != 0, (*short_busy)[i]);
+    const double short_joules = short_watts * dt_sec;
+    scratch_watts_[i] = last_short ? short_watts : watts;
+    short_total += short_watts;
+    for (std::int64_t k = 0; k < ticks; ++k) {
+      cluster_energy_j_[i] += short_ticks[k] ? short_joules : joules;
+    }
   }
   const double base_joules = model_->base_watts() * dt_sec;
   for (std::int64_t k = 0; k < ticks; ++k) base_energy_j_ += base_joules;
   total += model_->base_watts();
-  last_instant_power_ = total;
+  short_total += model_->base_watts();
+  last_instant_power_ = last_short ? short_total : total;
 }
 
 void PowerSensor::maybe_sample(TimeUs now,

@@ -53,15 +53,18 @@ class PowerSensor {
   }
 
   /// Span form of tick_presummed() for the engine's quiet-span
-  /// fast-forward: exactly `ticks` tick_presummed() calls with the same
-  /// per-cluster inputs, all before the next sample is due (see
-  /// ticks_before_sample), so none of them samples. Each energy
-  /// accumulator receives the same additions in the same order, so the
-  /// totals are bit-identical.
+  /// fast-forward: exactly `ticks` tick_presummed() calls, all before the
+  /// next sample is due (see ticks_before_sample), so none of them
+  /// samples. Tick k uses `short_busy` as its busy sums when
+  /// `short_ticks` is given and short_ticks[k] is set, `cluster_busy`
+  /// otherwise. Each energy accumulator receives the same additions in
+  /// the same order, so the totals are bit-identical.
   void integrate_span(std::int64_t ticks, TimeUs tick_us,
                       const std::vector<double>& cluster_busy,
                       const std::vector<double>& cluster_freq,
-                      const std::vector<char>& cluster_online);
+                      const std::vector<char>& cluster_online,
+                      const bool* short_ticks = nullptr,
+                      const std::vector<double>* short_busy = nullptr);
 
   /// Exact accumulated energy in joules (per cluster / total).
   double cluster_energy_j(ClusterId cluster) const;

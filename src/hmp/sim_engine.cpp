@@ -121,12 +121,9 @@ TimeUs SimEngine::thread_cpu_time_us(AppId app_id, int local_tid) const {
 void SimEngine::run_until(TimeUs t) {
   while (now_ < t) {
     step();
-    // Only runs with nothing acting between ticks may skip any: no
-    // manager, no tick hook, and not the per-tick reference path.
-    if (now_ < t && manager_ == nullptr && !tick_hook_ &&
-        !config_.reference_tick) {
-      fast_forward(t);
-    }
+    // Only runs with nothing acting between ticks but the manager's polls
+    // may skip any: no tick hook, and not the per-tick reference path.
+    if (now_ < t && !tick_hook_ && !config_.reference_tick) fast_forward(t);
   }
 }
 
@@ -138,6 +135,30 @@ namespace {
 TimeUs equal_share(TimeUs capacity, int sharers) {
   return sharers <= 1 ? (sharers == 1 ? capacity : 0) : capacity / sharers;
 }
+
+/// The manager-overhead side of stepped ticks, replayed from a PollPlan:
+/// what step() charges each tick and what each no-news poll adds after
+/// its tick.
+struct ChargeReplay {
+  const PollPlan& plan;
+  TimeUs pending;
+  TimeUs next_poll = plan.next_poll_us;
+  std::int64_t polls = 0;
+  TimeUs last_poll = 0;
+
+  /// Replays the tick ending at `t`; returns the overhead it charges.
+  TimeUs step(TimeUs t, TimeUs tick) {
+    const TimeUs use = std::min(pending, tick);
+    pending -= use;
+    if (t >= next_poll) {
+      pending += plan.cost_us;
+      next_poll = t + plan.period_us;
+      ++polls;
+      last_poll = t;
+    }
+    return use;
+  }
+};
 
 }  // namespace
 
@@ -155,6 +176,7 @@ HARS_HOT void SimEngine::prepare_scratch() {
     s.core_cluster.resize(n);
     s.core_freq_ghz.resize(n);
     s.cluster_busy.resize(static_cast<std::size_t>(machine_.num_clusters()));
+    s.cluster_busy_short.resize(static_cast<std::size_t>(machine_.num_clusters()));
     s.cluster_freq.resize(static_cast<std::size_t>(machine_.num_clusters()));
     s.cluster_online.resize(static_cast<std::size_t>(machine_.num_clusters()));
     // hars-lint: allow-end
@@ -382,61 +404,94 @@ HARS_HOT const std::vector<int>& SimEngine::runnable_counts() {
   return s.threads_on_core;
 }
 
-HARS_HOT void SimEngine::integrate_busy(std::int64_t ticks) {
+HARS_HOT void SimEngine::integrate_busy(std::int64_t ticks,
+                                        const bool* short_ticks,
+                                        double manager_short_busy) {
   TickScratch& s = scratch_;
   const TimeUs tick = config_.tick_us;
+  const auto manager_core = static_cast<std::size_t>(config_.manager_core);
   // Busy-sum conservation audit, first half: recompute the per-cluster
   // sums through an independent path (the machine's cluster masks, not
   // the core -> cluster scratch map) before the integration pass below
   // consumes and re-zeroes tick_busy_. Same ascending-core addition
   // order, so the sums must be bit-identical.
   std::array<double, 64> audit_cluster_busy;  // CpuMask caps cores at 64.
+  std::array<double, 64> audit_short_busy;
   if (config_.audit) {
     audit_cluster_busy.fill(0.0);
+    audit_short_busy.fill(0.0);
     for (ClusterId cl = 0; cl < machine_.num_clusters(); ++cl) {
       double sum = 0.0;
+      double short_sum = 0.0;
       const CpuMask mask = machine_.cluster_mask(cl);
       for (CoreId c = mask.first(); c >= 0; c = mask.next(c)) {
-        sum += std::min(tick_busy_[static_cast<std::size_t>(c)], 1.0);
+        const double b = std::min(tick_busy_[static_cast<std::size_t>(c)], 1.0);
+        sum += b;
+        short_sum += static_cast<std::size_t>(c) == manager_core
+                         ? std::min(manager_short_busy, 1.0)
+                         : b;
       }
       audit_cluster_busy[static_cast<std::size_t>(cl)] = sum;
+      audit_short_busy[static_cast<std::size_t>(cl)] = short_sum;
     }
   }
 
   // One pass clamps the busy fractions, integrates lifetime busy time and
   // accumulates the per-cluster busy sums the sensor needs; cores of a
   // cluster are contiguous and ascending, so the addition order matches
-  // the sensor's own mask walk.
+  // the sensor's own mask walk. Short span ticks differ only on the
+  // manager core, whose lifetime busy time takes each tick's own value.
   std::fill(s.cluster_busy.begin(), s.cluster_busy.end(), 0.0);
+  if (short_ticks != nullptr) {
+    std::fill(s.cluster_busy_short.begin(), s.cluster_busy_short.end(), 0.0);
+  }
   for (int c = 0; c < machine_.num_cores(); ++c) {
     const auto i = static_cast<std::size_t>(c);
+    const auto cl = static_cast<std::size_t>(s.core_cluster[i]);
     const double b = std::min(tick_busy_[i], 1.0);
     tick_busy_[i] = 0.0;  // Pre-zeroed for the next tick's accumulation.
     const double busy_us = b * static_cast<double>(tick);
+    s.cluster_busy[cl] += b;
+    if (short_ticks != nullptr) {
+      if (i == manager_core) {
+        const double short_b = std::min(manager_short_busy, 1.0);
+        const double short_us = short_b * static_cast<double>(tick);
+        s.cluster_busy_short[cl] += short_b;
+        for (std::int64_t k = 0; k < ticks; ++k) {
+          core_busy_us_[i] += short_ticks[k] ? short_us : busy_us;
+        }
+        continue;
+      }
+      s.cluster_busy_short[cl] += b;
+    }
     for (std::int64_t k = 0; k < ticks; ++k) core_busy_us_[i] += busy_us;
-    s.cluster_busy[static_cast<std::size_t>(s.core_cluster[i])] += b;
   }
   if (config_.audit) {
     for (ClusterId cl = 0; cl < machine_.num_clusters(); ++cl) {
       const auto i = static_cast<std::size_t>(cl);
-      if (s.cluster_busy[i] != audit_cluster_busy[i]) {
+      const bool short_diverges =
+          short_ticks != nullptr && s.cluster_busy_short[i] != audit_short_busy[i];
+      if (s.cluster_busy[i] != audit_cluster_busy[i] || short_diverges) {
         // The diagnostic allocates; the throw must not also trip the
         // tick's AllocGuard mid-unwind.
         allocg::AllowScope allow("audit diagnostics");
         throw AuditError(
             "SimEngine::integrate_busy: cluster " + std::to_string(cl) +
-            " busy-sum fed to the presummed sensor (" +
-            std::to_string(s.cluster_busy[i]) +
-            ") diverges from the mask-walk recomputation (" +
-            std::to_string(audit_cluster_busy[i]) + ")");
+            (short_diverges ? " short-tick" : "") +
+            " busy-sum fed to the presummed sensor diverges from the "
+            "mask-walk recomputation (" +
+            std::to_string(short_diverges ? s.cluster_busy_short[i]
+                                          : s.cluster_busy[i]) +
+            " vs " +
+            std::to_string(short_diverges ? audit_short_busy[i]
+                                          : audit_cluster_busy[i]) +
+            ")");
       }
     }
   }
 }
 
 HARS_HOT void SimEngine::fast_forward(TimeUs until) {
-  // Overhead a detached manager left pending still shrinks a capacity.
-  if (pending_manager_us_ != 0) return;
   const TimeUs tick = config_.tick_us;
   // Span ticks end before `until` and before the next sensor sample.
   std::int64_t span = std::min<std::int64_t>(
@@ -446,6 +501,16 @@ HARS_HOT void SimEngine::fast_forward(TimeUs until) {
   for (const std::size_t slot : live_slots_) {
     if (app_needs_begin_[slot] != 0) return;
   }
+  // A manager must describe its polls. A poll that may find a new
+  // heartbeat is stepped: the span ends before it.
+  const std::optional<PollPlan> planned =
+      manager_ != nullptr ? manager_->poll_plan() : PollPlan{};
+  if (!planned) return;
+  const PollPlan& plan = *planned;
+  if (!plan.absorbable) {
+    span = std::min<std::int64_t>(span, (plan.next_poll_us - now_ - 1) / tick);
+    if (span <= 0) return;
+  }
 
   AllocGuard alloc_guard("SimEngine::fast_forward");
   TickScratch& s = scratch_;
@@ -454,9 +519,36 @@ HARS_HOT void SimEngine::fast_forward(TimeUs until) {
     s.grants.resize(threads_.size());  // hars-lint: allow(no-alloc): guarded growth
   }
 
+  // The charge schedule: replay step()'s overhead drain and the absorbed
+  // polls' charges, flagging each tick full or short by one charge below
+  // a tick. Manager-less runs with nothing pending skip it: all full.
+  const bool charged = manager_ != nullptr || pending_manager_us_ != 0;
+  TimeUs charge = 0;
+  bool* short_ticks = nullptr;
+  if (charged) {
+    if (s.short_ticks_capacity < static_cast<std::size_t>(span)) {
+      allocg::AllowScope allow("quiet-span tick flag growth");
+      s.short_ticks = std::make_unique<bool[]>(static_cast<std::size_t>(span));  // hars-lint: allow(no-alloc): guarded growth
+      s.short_ticks_capacity = static_cast<std::size_t>(span);
+    }
+    ChargeReplay replay{plan, pending_manager_us_};
+    std::int64_t k = 0;
+    for (; k < span; ++k) {
+      const TimeUs use = replay.step(now_ + (k + 1) * tick, tick);
+      if (use != 0 && (use >= tick || (charge != 0 && use != charge))) break;
+      if (use != 0) charge = use;
+      s.short_ticks[static_cast<std::size_t>(k)] = use != 0;
+    }
+    span = k;
+    if (span <= 0) return;
+    if (charge != 0) short_ticks = s.short_ticks.get();
+  }
+
   // Every app must be quiet under the grants this placement hands out
-  // (each app also rejects a runnability flip against them). No manager
-  // means no overhead: every core's capacity is a full tick.
+  // (each app also rejects a runnability flip against them). A full tick
+  // gives every core a whole tick; a short one takes the charge off the
+  // manager core.
+  const auto manager_core = static_cast<std::size_t>(config_.manager_core);
   const std::vector<int>& counts = runnable_counts();
   for (const std::size_t slot : live_slots_) {
     App& a = *apps_[slot];
@@ -465,17 +557,40 @@ HARS_HOT void SimEngine::fast_forward(TimeUs until) {
       const SimThread& t = threads_[base + static_cast<std::size_t>(i)];
       ThreadGrant& g = s.grants[base + static_cast<std::size_t>(i)];
       g.share_us = 0;
+      g.short_share_us = 0;
       if (!t.runnable || t.core < 0) continue;
       const auto core = static_cast<std::size_t>(t.core);
       g.share_us = equal_share(tick, counts[core]);
+      g.short_share_us = core == manager_core
+                             ? equal_share(tick - charge, counts[core])
+                             : g.share_us;
       g.type = s.core_type[core];
       g.freq_ghz = s.core_freq_ghz[core];
     }
-    span = a.quiet_ticks(&s.grants[base], span);
+    span = a.quiet_ticks(&s.grants[base], short_ticks, span);
     if (span <= 0) return;
   }
   span = scheduler_->fixed_point_ticks(machine_, threads_, load_decay_, span);
   if (span <= 0) return;
+
+  // The manager's side of the final span: its overhead is left pending
+  // and accrued, and its next poll set, exactly as stepping would.
+  std::int64_t polls = 0;
+  std::int64_t short_count = 0;
+  if (charged) {
+    ChargeReplay replay{plan, pending_manager_us_};
+    for (std::int64_t k = 0; k < span; ++k) {
+      replay.step(now_ + (k + 1) * tick, tick);
+    }
+    pending_manager_us_ = replay.pending;
+    polls = replay.polls;
+    manager_overhead_total_us_ += polls * plan.cost_us;
+    if (polls > 0) manager_->absorb_polls(replay.last_poll);
+    if (short_ticks != nullptr) {
+      short_count = std::count(short_ticks, short_ticks + span, true);
+      if (short_count == 0) short_ticks = nullptr;
+    }
+  }
 
   // The span's arithmetic, accumulator by accumulator: each receives the
   // same operations in the same order as `span` stepped ticks, so every
@@ -487,21 +602,32 @@ HARS_HOT void SimEngine::fast_forward(TimeUs until) {
       t.load.update_with_decay(t.runnable, load_decay_);
     }
   }
+  // The manager core's busy fraction on a short tick starts with the
+  // charge, as in step(); thread fractions follow in thread order.
+  double manager_short_busy =
+      static_cast<double>(charge) / static_cast<double>(tick);
   for (std::size_t i = 0; i < threads_.size(); ++i) {
     SimThread& t = threads_[i];
     const ThreadGrant& g = s.grants[i];
     if (g.share_us <= 0) continue;
-    t.cpu_time_us += g.used_us * span;
-    tick_busy_[static_cast<std::size_t>(t.core)] +=
+    const auto core = static_cast<std::size_t>(t.core);
+    t.cpu_time_us += g.used_us * (span - short_count) +
+                     g.short_used_us * short_count;
+    tick_busy_[core] +=
         static_cast<double>(g.used_us) / static_cast<double>(tick);
+    if (core == manager_core) {
+      manager_short_busy +=
+          static_cast<double>(g.short_used_us) / static_cast<double>(tick);
+    }
   }
   for (const std::size_t slot : live_slots_) {
     apps_[slot]->advance_quiet(
-        &s.grants[static_cast<std::size_t>(app_thread_base_[slot])], span);
+        &s.grants[static_cast<std::size_t>(app_thread_base_[slot])],
+        short_ticks, span);
   }
-  integrate_busy(span);
+  integrate_busy(span, short_ticks, manager_short_busy);
   sensor_.integrate_span(span, tick, s.cluster_busy, s.cluster_freq,
-                         s.cluster_online);
+                         s.cluster_online, short_ticks, &s.cluster_busy_short);
   if (config_.audit) {
     // Span boundaries get the full per-tick audit set.
     allocg::AllowScope allow("audit diagnostics");
@@ -513,6 +639,7 @@ HARS_HOT void SimEngine::fast_forward(TimeUs until) {
   obs::counter_add(cat.ticks, static_cast<std::uint64_t>(span));
   obs::counter_add(cat.ff_ticks, static_cast<std::uint64_t>(span));
   obs::counter_add(cat.ff_spans);
+  obs::counter_add(cat.ff_polls, static_cast<std::uint64_t>(polls));
   obs::counter_add(cat.tick_allocs, alloc_guard.allocations());
   obs::counter_add(cat.tick_alloc_violations, alloc_guard.violations());
 }

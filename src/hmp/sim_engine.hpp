@@ -14,10 +14,13 @@
 //      runtime overhead both consumes capacity and burns power,
 //   6. integrates power and advances the sensor.
 //
-// Manager-less, hook-less runs additionally fast-forward through *quiet*
-// tick spans (no runnability flip, re-placement, finished share,
-// heartbeat or sensor sample) in a kernel that applies only the
-// per-accumulator arithmetic of those ticks; see fast_forward().
+// Hook-less runs additionally fast-forward through *quiet* tick spans (no
+// runnability flip, re-placement, finished share, heartbeat or sensor
+// sample) in a kernel that applies only the per-accumulator arithmetic of
+// those ticks; see fast_forward(). A manager takes part through its
+// PollPlan: polls that find no new heartbeat are absorbed into the span,
+// and every span tick is either full or short by one overhead charge on
+// the manager core.
 //
 // The engine exposes the "syscall surface" the paper's user-level runtime
 // uses on Linux: sched_setaffinity (set_thread_affinity), cpufreq
@@ -73,9 +76,12 @@ struct TickScratch {
   std::vector<ClusterId> core_cluster; ///< Immutable core -> cluster map.
   std::vector<double> core_freq_ghz;   ///< Per-core DVFS snapshot.
   std::vector<double> cluster_busy;    ///< Per-cluster busy sum for the sensor.
+  std::vector<double> cluster_busy_short;  ///< Same, for a span's short ticks.
   std::vector<double> cluster_freq;    ///< Per-cluster DVFS snapshot.
   std::vector<char> cluster_online;    ///< Any core of the cluster online?
   std::vector<ThreadGrant> grants;     ///< Per thread: quiet-span grants.
+  std::unique_ptr<bool[]> short_ticks; ///< Per span tick: short by a charge?
+  std::size_t short_ticks_capacity = 0;  ///< Allocated size of `short_ticks`.
   std::unique_ptr<bool[]> runnable;    ///< App::refresh_runnable buffer.
   std::size_t runnable_capacity = 0;   ///< Allocated size of `runnable`.
   std::uint64_t dvfs_epoch = 0;        ///< Machine epoch the snapshot is for.
@@ -222,11 +228,14 @@ class SimEngine {
   void step();
   void step_reference();
   /// Quiet-span fast-forward, tried after each step() of run_until(`until`)
-  /// while no manager and no tick hook are attached: when the scheduler
-  /// reports a placement fixed point and every app a quiet horizon,
-  /// advances through those ticks with only their per-accumulator
-  /// arithmetic — bit-identical to stepping them. The tick reaching
-  /// `until` and the next sensor-sampling tick stay on the normal path.
+  /// while no tick hook is attached: when the manager (if any) describes
+  /// its polls, the scheduler reports a placement fixed point and every
+  /// app a quiet horizon, advances through those ticks with only their
+  /// per-accumulator arithmetic — bit-identical to stepping them. No-news
+  /// polls are absorbed into the span with the overhead they charge. The
+  /// tick reaching `until`, the next sensor-sampling tick, a poll that
+  /// may find news and a tick with a different overhead charge stay on
+  /// the normal path.
   void fast_forward(TimeUs until);
   /// Runnable threads per core after the latest assign(): the
   /// scheduler's counts when it tracks them, else a counting pass.
@@ -234,8 +243,12 @@ class SimEngine {
   /// Clamps the accumulated per-core busy fractions (re-zeroing
   /// tick_busy_), adds them to lifetime busy time `ticks` times and
   /// leaves the per-cluster sums in TickScratch::cluster_busy for the
-  /// sensor; under audit, cross-checks the sums bit-exactly.
-  void integrate_busy(std::int64_t ticks);
+  /// sensor; under audit, cross-checks the sums bit-exactly. With
+  /// `short_ticks`, tick k uses `manager_short_busy` for the manager
+  /// core when short_ticks[k] is set, and TickScratch::cluster_busy_short
+  /// receives that tick class's sums.
+  void integrate_busy(std::int64_t ticks, const bool* short_ticks = nullptr,
+                      double manager_short_busy = 0.0);
   /// Post-assign check: every runnable placed thread sits on an online
   /// core inside its affinity set (or the online fallback). Runs
   /// immediately after scheduler assignment — NOT at end of step — since

@@ -163,6 +163,18 @@ const std::vector<TracePoint>& ConsIManager::trace(AppId app) const {
   return kEmpty;
 }
 
+std::optional<PollPlan> ConsIManager::poll_plan() const {
+  // on_tick's no-news test, for every live app.
+  const bool absorbable = std::none_of(
+      apps_.begin(), apps_.end(), [&](const AppEntry& entry) {
+        if (!entry.alive) return false;
+        const std::int64_t idx = backend_.heartbeats(entry.app).last_index();
+        return idx >= 0 && idx != entry.last_seen_hb;
+      });
+  return PollPlan{next_poll_, config_.poll_period_us, config_.poll_cost_us,
+                  absorbable};
+}
+
 TimeUs ConsIManager::on_tick(TimeUs now) {
   if (now < next_poll_) return 0;
   // Per-app trace growth and hotplug/schedule changes are declared

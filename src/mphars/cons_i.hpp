@@ -68,6 +68,10 @@ class ConsIManager : public ManagerHook {
   bool set_app_target(AppId app, PerfTarget target);
 
   TimeUs on_tick(TimeUs now) override;
+  std::optional<PollPlan> poll_plan() const override;
+  void absorb_polls(TimeUs last_poll_us) override {
+    next_poll_ = last_poll_us + config_.poll_period_us;
+  }
 
   const SystemState& global_state() const { return state_; }
   const std::vector<TracePoint>& trace(AppId app) const;

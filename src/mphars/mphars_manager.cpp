@@ -305,6 +305,16 @@ TimeUs MpHarsManager::adapt_app(AppNode& node, TimeUs now) {
   return cost;
 }
 
+std::optional<PollPlan> MpHarsManager::poll_plan() const {
+  bool absorbable = true;  // on_tick's no-news test, for every app.
+  registry_.for_each([&](const AppNode& node) {
+    const std::int64_t idx = backend_.heartbeats(node.app_id).last_index();
+    if (idx >= 0 && idx != node.last_seen_hb) absorbable = false;
+  });
+  return PollPlan{next_poll_, config_.poll_period_us, config_.poll_cost_us,
+                  absorbable};
+}
+
 TimeUs MpHarsManager::on_tick(TimeUs now) {
   if (now < next_poll_) return 0;
   // Registry/trace bookkeeping and schedule changes are declared
@@ -314,9 +324,11 @@ TimeUs MpHarsManager::on_tick(TimeUs now) {
   next_poll_ = now + config_.poll_period_us;
   TimeUs cost = config_.poll_cost_us;
 
-  // One memoization epoch per manager tick: every adapt_app below shares
-  // the same estimator configuration, so their searches reuse estimates.
-  if (!config_.reference_search) scratch_.begin_tick(machine_space_);
+  // One memoization epoch per poll, opened before its first adapt_app:
+  // every adapt_app of the poll shares the same estimator configuration,
+  // so their searches reuse estimates. A poll that adapts nothing leaves
+  // the scratch untouched.
+  bool epoch_open = config_.reference_search;
 
   // Algorithm 3: iterate the application list.
   registry_.for_each([&](AppNode& node) {
@@ -347,6 +359,10 @@ TimeUs MpHarsManager::on_tick(TimeUs now) {
 
     // Lines 16-22: adaptation period check.
     if (idx % node.adapt_period == 0) {
+      if (!epoch_open) {
+        scratch_.begin_tick(machine_space_);
+        epoch_open = true;
+      }
       cost += adapt_app(node, now);
     }
   });

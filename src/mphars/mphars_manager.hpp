@@ -76,6 +76,10 @@ class MpHarsManager : public ManagerHook {
   bool set_app_target(AppId app, PerfTarget target);
 
   TimeUs on_tick(TimeUs now) override;
+  std::optional<PollPlan> poll_plan() const override;
+  void absorb_polls(TimeUs last_poll_us) override {
+    next_poll_ = last_poll_us + config_.poll_period_us;
+  }
 
   /// Current state of one app (own cores + shared frequencies).
   SystemState app_state(AppId app) const;
@@ -106,9 +110,9 @@ class MpHarsManager : public ManagerHook {
   PowerEstimator power_est_;
   MpHarsConfig config_;
   StateSpace machine_space_;
-  /// Shared per-tick search memoization: one epoch per manager tick, so
-  /// the per-app searches of the same tick reuse each other's estimates
-  /// (estimator configuration is constant across a tick).
+  /// Shared per-poll search memoization: one epoch per poll that checks
+  /// an adaptation, so the per-app searches of the same poll reuse each
+  /// other's estimates (estimator configuration is constant across it).
   SearchScratch scratch_;
   TimeUs next_poll_ = 0;
   std::int64_t adaptations_ = 0;

@@ -71,6 +71,9 @@ Catalog build_catalog() {
       "Ticks advanced by the quiet-span fast-forward (also in engine.ticks)");
   c.ff_spans = reg.register_counter(
       "sim.ff_spans", "Quiet spans the engine fast-forwarded through");
+  c.ff_polls = reg.register_counter(
+      "sim.ff_polls",
+      "Manager polls absorbed into quiet spans (they never reach on_tick)");
 
   c.memo_unit_time_hits = reg.register_counter(
       "search.memo.unit_time_hits", "SearchScratch unit-time memo hits");

@@ -44,6 +44,7 @@ struct Catalog {
   HistId tick_phase_ns[static_cast<int>(TickPhase::kCount)];
   CounterId ff_ticks;               ///< sim.ff_ticks
   CounterId ff_spans;               ///< sim.ff_spans
+  CounterId ff_polls;               ///< sim.ff_polls
 
   // --- Search / memoization ---
   CounterId memo_unit_time_hits;    ///< search.memo.unit_time_hits
