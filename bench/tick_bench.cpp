@@ -10,12 +10,13 @@
 //     pool (--jobs N) with a byte-identical-records assertion — the
 //     engine must produce the same metrics at any parallelism.
 //  2. Speedup: the staggered scenario on exynos5422 under all eight
-//     runtime versions, plus a plain run of each (no tick hook: the runs
+//     runtime versions, plus plain runs of each (no tick hook: the runs
 //     the engine fast-forwards, absorbing managers' no-news polls) —
-//     bodytrack alone, or Fig 5.4 case 1 for multi-app versions — on the
-//     optimized tick/search path and on the retained reference path
-//     (--reference semantics of ExperimentBuilder::reference_impl),
-//     min of --reps repetitions; the geomean covers the staggered rows.
+//     bodytrack alone and ferret alone, or Fig 5.4 case 1 for multi-app
+//     versions — on the optimized tick/search path and on the retained
+//     reference path (--reference semantics of
+//     ExperimentBuilder::reference_impl), min of --reps repetitions; the
+//     geomean covers the staggered rows.
 //     Asserts (a) records are bit-identical between the two paths and
 //     (b) the optimized path is at least as fast (perf smoke).
 //
@@ -232,33 +233,40 @@ int main(int argc, char** argv) {
   // Plus hook-less plain runs of every variant: the staggered scenario's
   // tick hook keeps the quiet-span fast-forward off, so only these rows
   // compare fast-forwarded runs (managed ones included) against the
-  // per-tick reference path.
-  struct SpeedupRow {
+  // per-tick reference path. Single-app variants get a plain row on
+  // bodytrack (data-parallel) and one on ferret (pipeline).
+  struct SpeedupCase {
     std::string variant;
-    std::string scenario;  ///< "staggered", or "plain" (no hook).
+    std::string scenario;                ///< "staggered", or "plain" (no hook).
+    std::vector<ParsecBenchmark> apps;   ///< Plain rows' apps.
+  };
+  struct SpeedupRow {
+    SpeedupCase c;
     double opt_tps = 0.0;
     double ref_tps = 0.0;
     bool identical = false;
   };
+  const auto apps_label = [](const SpeedupCase& c) {
+    std::string label;
+    for (const ParsecBenchmark bench : c.apps) {
+      if (!label.empty()) label += '+';
+      label += parsec_code(bench);
+    }
+    return label.empty() ? std::string("-") : label;
+  };
   const double speedup_ticks = speedup_duration_sec / tick_sec;
   std::vector<SpeedupRow> speedups;
-  auto run_speedup = [&](const std::string& variant,
-                         const std::string& scenario, bool reference,
+  auto run_speedup = [&](const SpeedupCase& c, bool reference,
                          double* wall_ms) {
     ExperimentBuilder b;
     b.platform(std::string_view("exynos5422"))
-        .variant(variant)
+        .variant(c.variant)
         .duration_sec(speedup_duration_sec)
         .reference_impl(reference);
-    if (scenario == "plain") {
-      const VariantEntry* entry = VariantRegistry::instance().find(variant);
-      if (entry->traits.min_apps > 1) {
-        b.apps(multiapp_cases().front());  // Fig 5.4 case 1 (BO+SW).
-      } else {
-        b.app(ParsecBenchmark::kBodytrack);
-      }
+    if (c.scenario == "plain") {
+      b.apps(c.apps);
     } else {
-      b.scenario(std::string_view(scenario));
+      b.scenario(std::string_view(c.scenario));
     }
     const Experiment experiment = b.build();
     const auto start = Clock::now();
@@ -267,18 +275,25 @@ int main(int argc, char** argv) {
     return result_record(r);
   };
 
-  std::vector<std::pair<std::string, std::string>> speedup_cases;
+  std::vector<SpeedupCase> speedup_cases;
   for (const std::string& variant : VariantRegistry::instance().names()) {
-    speedup_cases.emplace_back(variant, "staggered");
+    speedup_cases.push_back({variant, "staggered", {}});
   }
   for (const std::string& variant : VariantRegistry::instance().names()) {
-    speedup_cases.emplace_back(variant, "plain");
+    const VariantEntry* entry = VariantRegistry::instance().find(variant);
+    if (entry->traits.min_apps > 1) {
+      // Fig 5.4 case 1 (BO+SW).
+      speedup_cases.push_back({variant, "plain", multiapp_cases().front()});
+    } else {
+      speedup_cases.push_back({variant, "plain", {ParsecBenchmark::kBodytrack}});
+      speedup_cases.push_back({variant, "plain", {ParsecBenchmark::kFerret}});
+    }
   }
-  for (const auto& [variant, scenario] : speedup_cases) {
+  for (const SpeedupCase& c : speedup_cases) {
     // Warm calibration caches for this variant's targets.
     {
       double ignored = 0.0;
-      (void)run_speedup(variant, scenario, false, &ignored);
+      (void)run_speedup(c, false, &ignored);
     }
     std::vector<double> opt_ms;
     std::vector<double> ref_ms;
@@ -286,9 +301,9 @@ int main(int argc, char** argv) {
     Record ref_record;
     for (int rep = 0; rep < reps; ++rep) {
       double w = 0.0;
-      opt_record = run_speedup(variant, scenario, false, &w);
+      opt_record = run_speedup(c, false, &w);
       opt_ms.push_back(w);
-      ref_record = run_speedup(variant, scenario, true, &w);
+      ref_record = run_speedup(c, true, &w);
       ref_ms.push_back(w);
     }
     // Min-of-reps: the least-interfered repetition is the standard
@@ -296,15 +311,14 @@ int main(int argc, char** argv) {
     std::sort(opt_ms.begin(), opt_ms.end());
     std::sort(ref_ms.begin(), ref_ms.end());
     SpeedupRow row;
-    row.variant = variant;
-    row.scenario = scenario;
+    row.c = c;
     row.opt_tps = speedup_ticks / (opt_ms.front() / 1000.0);
     row.ref_tps = speedup_ticks / (ref_ms.front() / 1000.0);
     row.identical = fingerprint({opt_record}) == fingerprint({ref_record});
     speedups.push_back(row);
-    std::printf("speedup %-10s %-9s opt %8.1f kticks/s  ref %8.1f kticks/s  "
-                "%.2fx  records %s\n",
-                row.variant.c_str(), row.scenario.c_str(),
+    std::printf("speedup %-10s %-9s %-5s opt %8.1f kticks/s  "
+                "ref %8.1f kticks/s  %.2fx  records %s\n",
+                c.variant.c_str(), c.scenario.c_str(), apps_label(c).c_str(),
                 row.opt_tps / 1000.0, row.ref_tps / 1000.0,
                 row.opt_tps / row.ref_tps,
                 row.identical ? "identical" : "DIVERGENT");
@@ -313,7 +327,9 @@ int main(int argc, char** argv) {
   // The geomean stays over the staggered rows, the trajectory it tracks.
   std::vector<double> ratios;
   for (const SpeedupRow& row : speedups) {
-    if (row.scenario == "staggered") ratios.push_back(row.opt_tps / row.ref_tps);
+    if (row.c.scenario == "staggered") {
+      ratios.push_back(row.opt_tps / row.ref_tps);
+    }
   }
   const double geomean_speedup = geomean(ratios);
 
@@ -435,8 +451,9 @@ int main(int argc, char** argv) {
     const SpeedupRow& row = speedups[i];
     all_identical = all_identical && row.identical;
     all_at_least_ref = all_at_least_ref && row.opt_tps >= row.ref_tps;
-    out << "      {\"variant\": \"" << json_escape(row.variant)
-        << "\", \"scenario\": \"" << row.scenario
+    out << "      {\"variant\": \"" << json_escape(row.c.variant)
+        << "\", \"scenario\": \"" << row.c.scenario
+        << "\", \"apps\": \"" << apps_label(row.c)
         << "\", \"opt_ticks_per_sec\": " << format_number(row.opt_tps)
         << ", \"ref_ticks_per_sec\": " << format_number(row.ref_tps)
         << ", \"speedup\": " << format_number(row.opt_tps / row.ref_tps)

@@ -2,8 +2,8 @@
 //
 // An App owns its heartbeat monitor and a speed model (how fast one of its
 // threads retires work on each core type). The SimEngine drives it through
-// begin_tick / execute / end_tick; heartbeats are emitted from end_tick
-// when a unit of work completes.
+// execute / end_tick; heartbeats are emitted from end_tick when a unit of
+// work completes.
 #pragma once
 
 #include <cmath>
@@ -89,17 +89,6 @@ class App {
   virtual TimeUs execute(int local_tid, TimeUs share_us, CoreType type,
                          double freq_ghz) = 0;
 
-  /// Called before scheduling each tick (source-stage item generation...).
-  virtual void begin_tick(TimeUs /*now*/) {}
-
-  /// True when the app's begin_tick must run each tick. The engine
-  /// caches this per app slot and skips the virtual begin_tick dispatch
-  /// for apps that answer false. Defaults to true so a subclass that
-  /// overrides begin_tick but not this query merely loses the skipped
-  /// dispatch — never its begin_tick work; only apps whose begin_tick is
-  /// the base no-op should opt out.
-  virtual bool needs_begin_tick() const { return true; }
-
   /// Called after all threads executed; barrier/heartbeat logic lives here.
   virtual void end_tick(TimeUs now) = 0;
 
@@ -156,6 +145,25 @@ class App {
   }
 
  protected:
+  /// One tick class's operands for subtract_tick_major(): `rows` rows,
+  /// row j holding one operand per chain from ops + j * stride.
+  struct TickOperands {
+    const double* ops = nullptr;
+    int rows = 0;
+  };
+
+  /// advance_quiet()'s kernel: `ticks` rounds on the `n` independent
+  /// subtraction chains `acc`, tick-major. Tick k subtracts, row by row,
+  /// its class's operands (`part` when short_ticks[k] is set, `full`
+  /// otherwise), so every chain takes its operands in tick order, as
+  /// stepping would; a chain without an operand in a row holds 0.0 there,
+  /// the identity. Looping over ticks outside lets the chains overlap and
+  /// the inner loop vectorise.
+  static void subtract_tick_major(double* acc, std::size_t n,
+                                  std::size_t stride, TickOperands full,
+                                  TickOperands part, const bool* short_ticks,
+                                  std::int64_t ticks);
+
   double thread_speed(CoreType type, double freq_ghz) const {
     const double s = speed_.speed(type, freq_ghz);
     // IEEE division by exactly 1.0 is the identity, so skipping it at the

@@ -11,6 +11,10 @@ DataParallelApp::DataParallelApp(std::string name, const DataParallelConfig& con
       workload_(config.workload, Rng(config.seed)),
       rng_(Rng(config.seed).fork(0xDA7A)),
       remaining_(static_cast<std::size_t>(config.threads), 0.0),
+      span_thread_(static_cast<std::size_t>(config.threads), 0),
+      span_work_(static_cast<std::size_t>(config.threads), 0.0),
+      span_full_(static_cast<std::size_t>(config.threads), 0.0),
+      span_short_(static_cast<std::size_t>(config.threads), 0.0),
       warmup_remaining_(config.warmup_work) {
   if (warmup_remaining_ <= 0.0) start_iteration();
 }
@@ -183,21 +187,27 @@ std::int64_t DataParallelApp::quiet_ticks(ThreadGrant* grants,
 void DataParallelApp::advance_quiet(const ThreadGrant* grants,
                                     const bool* short_ticks,
                                     std::int64_t ticks) {
+  // Each executed thread's pending work is one subtraction chain. The
+  // manager core's threads retire the smaller share on short ticks (0
+  // when execute() is not called; subtracting 0.0 is the identity).
+  std::size_t n = 0;
   for (int i = 0; i < thread_count(); ++i) {
     const ThreadGrant& grant = grants[i];
-    WorkUnits* pending = pending_work(i);
+    const WorkUnits* pending = pending_work(i);
     const WorkUnits can_do = share_work(grant, grant.share_us);
     if (pending == nullptr || can_do <= 0.0) continue;
-    if (short_ticks == nullptr || grant.short_share_us == grant.share_us) {
-      for (std::int64_t k = 0; k < ticks; ++k) *pending -= can_do;
-      continue;
-    }
-    // The manager core's threads: short ticks retire the smaller share
-    // (0 when execute() is not called; subtracting 0.0 is the identity).
-    const WorkUnits short_can_do = share_work(grant, grant.short_share_us);
-    for (std::int64_t k = 0; k < ticks; ++k) {
-      *pending -= short_ticks[k] ? short_can_do : can_do;
-    }
+    span_thread_[n] = i;
+    span_work_[n] = *pending;
+    span_full_[n] = can_do;
+    span_short_[n] = grant.short_share_us == grant.share_us
+                         ? can_do
+                         : share_work(grant, grant.short_share_us);
+    ++n;
+  }
+  subtract_tick_major(span_work_.data(), n, n, {span_full_.data(), 1},
+                      {span_short_.data(), 1}, short_ticks, ticks);
+  for (std::size_t m = 0; m < n; ++m) {
+    *pending_work(span_thread_[m]) = span_work_[m];
   }
 }
 

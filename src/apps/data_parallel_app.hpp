@@ -34,8 +34,6 @@ class DataParallelApp final : public App {
 
   bool runnable(int local_tid) const override;
   void refresh_runnable(bool* out) const override;
-  /// begin_tick is the base no-op: iterations open in end_tick.
-  bool needs_begin_tick() const override { return false; }
   TimeUs execute(int local_tid, TimeUs share_us, CoreType type,
                  double freq_ghz) override;
   void end_tick(TimeUs now) override;
@@ -75,6 +73,13 @@ class DataParallelApp final : public App {
   double cached_share_sec_ = 0.0;  ///< us_to_sec(cached_share_us_).
   double cached_speed_ = -1.0;     ///< Speed the used-time cache is for.
   TimeUs cached_used_ = 0;         ///< Full-share used time at that speed.
+  /// advance_quiet() scratch, one entry per thread executed in the span:
+  /// its thread, its pending work and the work each full and each short
+  /// tick retires (pre-sized; the span kernel allocates nothing).
+  std::vector<int> span_thread_;
+  std::vector<WorkUnits> span_work_;
+  std::vector<WorkUnits> span_full_;
+  std::vector<WorkUnits> span_short_;
   WorkUnits warmup_remaining_ = 0.0;
   std::int64_t iteration_ = 0;
   int open_threads_ = 0;  ///< remaining_ entries > 0 (barrier countdown).

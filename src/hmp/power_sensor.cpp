@@ -1,5 +1,6 @@
 #include "hmp/power_sensor.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/alloc_guard.hpp"
@@ -17,6 +18,10 @@ PowerSensor::PowerSensor(const Machine& machine, const PowerModel& model,
       rng_(seed),
       cluster_energy_j_(static_cast<std::size_t>(machine.num_clusters()), 0.0),
       scratch_watts_(static_cast<std::size_t>(machine.num_clusters()), 0.0),
+      span_energy_j_(static_cast<std::size_t>(machine.num_clusters()) + 1, 0.0),
+      span_joules_(static_cast<std::size_t>(machine.num_clusters()) + 1, 0.0),
+      span_short_joules_(static_cast<std::size_t>(machine.num_clusters()) + 1,
+                         0.0),
       next_sample_at_(sample_period_us) {
   assert(sample_period_us > 0);
 }
@@ -61,34 +66,55 @@ HARS_HOT void PowerSensor::integrate_span(
   const double dt_sec = us_to_sec(tick_us);
   // The last tick's class sets the instantaneous power and sample watts.
   const bool last_short = short_ticks != nullptr && short_ticks[ticks - 1];
+  const std::size_t n = cluster_energy_j_.size();
   double total = 0.0;
   double short_total = 0.0;
-  for (int c = 0; c < machine_->num_clusters(); ++c) {
-    const auto i = static_cast<std::size_t>(c);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto c = static_cast<ClusterId>(i);
     const double watts = model_->cluster_power_given(
         c, cluster_freq[i], cluster_online[i] != 0, cluster_busy[i]);
     const double joules = watts * dt_sec;
+    double short_watts = watts;
+    double short_joules = joules;
+    if (short_ticks != nullptr && (*short_busy)[i] != cluster_busy[i]) {
+      short_watts = model_->cluster_power_given(
+          c, cluster_freq[i], cluster_online[i] != 0, (*short_busy)[i]);
+      short_joules = short_watts * dt_sec;
+    }
     total += watts;
-    if (short_ticks == nullptr || (*short_busy)[i] == cluster_busy[i]) {
-      scratch_watts_[i] = watts;
-      short_total += watts;
-      for (std::int64_t k = 0; k < ticks; ++k) cluster_energy_j_[i] += joules;
+    short_total += short_watts;
+    scratch_watts_[i] = last_short ? short_watts : watts;
+    if (ticks == 1) {
+      cluster_energy_j_[i] += last_short ? short_joules : joules;
       continue;
     }
-    const double short_watts = model_->cluster_power_given(
-        c, cluster_freq[i], cluster_online[i] != 0, (*short_busy)[i]);
-    const double short_joules = short_watts * dt_sec;
-    scratch_watts_[i] = last_short ? short_watts : watts;
-    short_total += short_watts;
-    for (std::int64_t k = 0; k < ticks; ++k) {
-      cluster_energy_j_[i] += short_ticks[k] ? short_joules : joules;
-    }
+    span_energy_j_[i] = cluster_energy_j_[i];
+    span_joules_[i] = joules;
+    span_short_joules_[i] = short_joules;
   }
   const double base_joules = model_->base_watts() * dt_sec;
-  for (std::int64_t k = 0; k < ticks; ++k) base_energy_j_ += base_joules;
   total += model_->base_watts();
   short_total += model_->base_watts();
   last_instant_power_ = last_short ? short_total : total;
+  if (ticks == 1) {
+    base_energy_j_ += base_joules;
+    return;
+  }
+  // Tick-major over the clusters' and the base draw's energy chains: they
+  // overlap and the inner loop vectorises, and each chain still adds its
+  // tick's joules once per tick, in tick order.
+  span_energy_j_[n] = base_energy_j_;
+  span_joules_[n] = base_joules;
+  span_short_joules_[n] = base_joules;
+  double* const acc = span_energy_j_.data();
+  for (std::int64_t k = 0; k < ticks; ++k) {
+    const double* const joules = short_ticks != nullptr && short_ticks[k]
+                                     ? span_short_joules_.data()
+                                     : span_joules_.data();
+    for (std::size_t i = 0; i <= n; ++i) acc[i] += joules[i];
+  }
+  std::copy(acc, acc + n, cluster_energy_j_.begin());
+  base_energy_j_ = acc[n];
 }
 
 void PowerSensor::maybe_sample(TimeUs now,

@@ -93,6 +93,11 @@ class PowerSensor {
 
   std::vector<double> cluster_energy_j_;
   std::vector<double> scratch_watts_;  ///< Per-tick scratch (presummed path).
+  /// integrate_span() scratch, per cluster plus the base draw last: the
+  /// energy chains and the joules of a full and of a short span tick.
+  std::vector<double> span_energy_j_;
+  std::vector<double> span_joules_;
+  std::vector<double> span_short_joules_;
   double base_energy_j_ = 0.0;
   TimeUs next_sample_at_;
   std::vector<PowerSample> samples_;

@@ -51,7 +51,6 @@ AppId SimEngine::add_app(App* app) {
   const AppId id = static_cast<AppId>(apps_.size());
   live_slots_.push_back(apps_.size());
   apps_.push_back(app);
-  app_needs_begin_.push_back(app->needs_begin_tick() ? 1 : 0);
   app_thread_base_.push_back(static_cast<int>(threads_.size()));
   for (int i = 0; i < app->thread_count(); ++i) {
     SimThread t;
@@ -177,6 +176,7 @@ HARS_HOT void SimEngine::prepare_scratch() {
     s.core_freq_ghz.resize(n);
     s.cluster_busy.resize(static_cast<std::size_t>(machine_.num_clusters()));
     s.cluster_busy_short.resize(static_cast<std::size_t>(machine_.num_clusters()));
+    s.core_busy_us.resize(n);
     s.cluster_freq.resize(static_cast<std::size_t>(machine_.num_clusters()));
     s.cluster_online.resize(static_cast<std::size_t>(machine_.num_clusters()));
     // hars-lint: allow-end
@@ -247,13 +247,6 @@ HARS_HOT void SimEngine::step() {
 
   const TimeUs tick = config_.tick_us;
   now_ += tick;
-
-  {
-    obs::PhaseTimer obs_phase(obs::TickPhase::kBeginTick, obs_tick);
-    for (const std::size_t slot : live_slots_) {
-      if (app_needs_begin_[slot] != 0) apps_[slot]->begin_tick(now_);
-    }
-  }
 
   {
     obs::PhaseTimer obs_phase(obs::TickPhase::kSnapshotRefresh, obs_tick);
@@ -436,11 +429,14 @@ HARS_HOT void SimEngine::integrate_busy(std::int64_t ticks,
     }
   }
 
-  // One pass clamps the busy fractions, integrates lifetime busy time and
-  // accumulates the per-cluster busy sums the sensor needs; cores of a
-  // cluster are contiguous and ascending, so the addition order matches
-  // the sensor's own mask walk. Short span ticks differ only on the
-  // manager core, whose lifetime busy time takes each tick's own value.
+  // One pass clamps the busy fractions and accumulates the per-cluster
+  // busy sums the sensor needs; cores of a cluster are contiguous and
+  // ascending, so the addition order matches the sensor's own mask walk.
+  // A single tick adds each core's busy time to its lifetime total in the
+  // same pass; a span leaves it in TickScratch::core_busy_us for the
+  // tick-major loop below. Short span ticks differ only on the manager
+  // core, whose lifetime busy time takes each tick's own value.
+  const bool single = ticks == 1 && short_ticks == nullptr;
   std::fill(s.cluster_busy.begin(), s.cluster_busy.end(), 0.0);
   if (short_ticks != nullptr) {
     std::fill(s.cluster_busy_short.begin(), s.cluster_busy_short.end(), 0.0);
@@ -452,19 +448,36 @@ HARS_HOT void SimEngine::integrate_busy(std::int64_t ticks,
     tick_busy_[i] = 0.0;  // Pre-zeroed for the next tick's accumulation.
     const double busy_us = b * static_cast<double>(tick);
     s.cluster_busy[cl] += b;
-    if (short_ticks != nullptr) {
-      if (i == manager_core) {
-        const double short_b = std::min(manager_short_busy, 1.0);
-        const double short_us = short_b * static_cast<double>(tick);
-        s.cluster_busy_short[cl] += short_b;
-        for (std::int64_t k = 0; k < ticks; ++k) {
-          core_busy_us_[i] += short_ticks[k] ? short_us : busy_us;
-        }
-        continue;
-      }
-      s.cluster_busy_short[cl] += b;
+    if (single) {
+      core_busy_us_[i] += busy_us;
+      continue;
     }
-    for (std::int64_t k = 0; k < ticks; ++k) core_busy_us_[i] += busy_us;
+    s.core_busy_us[i] = busy_us;
+    if (short_ticks != nullptr) {
+      s.cluster_busy_short[cl] +=
+          i == manager_core ? std::min(manager_short_busy, 1.0) : b;
+    }
+  }
+  if (!single) {
+    // Tick-major: the cores' independent chains overlap and the inner
+    // loop vectorises; each core still adds its value once per tick. The
+    // manager core's chain, when short ticks vary it, runs on its own
+    // (it adds 0.0, the identity, in the shared loop).
+    const double manager_full_us = s.core_busy_us[manager_core];
+    if (short_ticks != nullptr) s.core_busy_us[manager_core] = 0.0;
+    double* const acc = core_busy_us_.data();
+    const double* const busy = s.core_busy_us.data();
+    const auto n = s.core_busy_us.size();
+    for (std::int64_t k = 0; k < ticks; ++k) {
+      for (std::size_t i = 0; i < n; ++i) acc[i] += busy[i];
+    }
+    if (short_ticks != nullptr) {
+      const double short_us =
+          std::min(manager_short_busy, 1.0) * static_cast<double>(tick);
+      for (std::int64_t k = 0; k < ticks; ++k) {
+        acc[manager_core] += short_ticks[k] ? short_us : manager_full_us;
+      }
+    }
   }
   if (config_.audit) {
     for (ClusterId cl = 0; cl < machine_.num_clusters(); ++cl) {
@@ -497,10 +510,6 @@ HARS_HOT void SimEngine::fast_forward(TimeUs until) {
   std::int64_t span = std::min<std::int64_t>(
       (until - now_ - 1) / tick, sensor_.ticks_before_sample(now_, tick));
   if (span <= 0) return;
-  // The span kernel never runs begin_tick, so its apps must not need it.
-  for (const std::size_t slot : live_slots_) {
-    if (app_needs_begin_[slot] != 0) return;
-  }
   // A manager must describe its polls. A poll that may find a new
   // heartbeat is stepped: the span ends before it.
   const std::optional<PollPlan> planned =
@@ -516,7 +525,11 @@ HARS_HOT void SimEngine::fast_forward(TimeUs until) {
   TickScratch& s = scratch_;
   if (s.grants.size() < threads_.size()) {
     allocg::AllowScope allow("quiet-span grant growth");
-    s.grants.resize(threads_.size());  // hars-lint: allow(no-alloc): guarded growth
+    // hars-lint: allow-begin(no-alloc): guarded growth
+    s.grants.resize(threads_.size());
+    s.span_load.resize(threads_.size());
+    s.span_load_input.resize(threads_.size());
+    // hars-lint: allow-end
   }
 
   // The charge schedule: replay step()'s overhead drain and the absorbed
@@ -596,11 +609,22 @@ HARS_HOT void SimEngine::fast_forward(TimeUs until) {
   // same operations in the same order as `span` stepped ticks, so every
   // record stays bit-identical.
   now_ += span * tick;
+  // Tick-major over the threads' load EWMA chains, gathered into
+  // contiguous scratch so they overlap and the inner loop vectorises.
+  const std::size_t n_threads = threads_.size();
+  double* const load = s.span_load.data();
+  double* const load_input = s.span_load_input.data();
+  for (std::size_t i = 0; i < n_threads; ++i) {
+    load[i] = threads_[i].load.value();
+    load_input[i] = LoadTracker::input(threads_[i].runnable, load_decay_);
+  }
   for (std::int64_t k = 0; k < span; ++k) {
-    // Tick-major: the threads' independent EWMA chains overlap.
-    for (SimThread& t : threads_) {
-      t.load.update_with_decay(t.runnable, load_decay_);
+    for (std::size_t i = 0; i < n_threads; ++i) {
+      load[i] = LoadTracker::step(load[i], load_decay_, load_input[i]);
     }
+  }
+  for (std::size_t i = 0; i < n_threads; ++i) {
+    threads_[i].load.set_value(load[i]);
   }
   // The manager core's busy fraction on a short tick starts with the
   // charge, as in step(); thread fractions follow in thread order.
@@ -652,10 +676,6 @@ void SimEngine::step_reference() {
 
   const TimeUs tick = config_.tick_us;
   now_ += tick;
-
-  for (App* a : apps_) {
-    if (a != nullptr) a->begin_tick(now_);
-  }
 
   // Refresh runnability and load averages.
   for (SimThread& t : threads_) {
@@ -729,7 +749,7 @@ void SimEngine::step_reference() {
 
 void SimEngine::audit_now() const {
   const auto n_slots = apps_.size();
-  if (app_needs_begin_.size() != n_slots || app_thread_base_.size() != n_slots) {
+  if (app_thread_base_.size() != n_slots) {
     throw AuditError("SimEngine::audit_now: per-app side tables out of sync "
                      "with the app slot table");
   }

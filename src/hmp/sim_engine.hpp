@@ -4,23 +4,24 @@
 //   0. fires the tick hook with the tick's start time (scenario event
 //      dispatch: apps may be added/removed, targets/phases/hotplug may
 //      change here, visible to the whole tick),
-//   1. lets every application generate/prepare work (begin_tick),
-//   2. asks the OS-scheduler model to place runnable threads on cores,
-//   3. divides each core's tick equally among the threads on it and lets
+//   1. asks the OS-scheduler model to place runnable threads on cores,
+//   2. divides each core's tick equally among the threads on it and lets
 //      the owning application consume the CPU shares,
-//   4. runs application barrier/heartbeat logic (end_tick),
-//   5. invokes the attached runtime manager (HARS / MP-HARS / CONS-I),
+//   3. runs application heartbeat logic (end_tick: barriers, pipeline
+//      retirement and admission),
+//   4. invokes the attached runtime manager (HARS / MP-HARS / CONS-I),
 //      charging its reported CPU cost to the manager core (cpu0) so that
 //      runtime overhead both consumes capacity and burns power,
-//   6. integrates power and advances the sensor.
+//   5. integrates power and advances the sensor.
 //
 // Hook-less runs additionally fast-forward through *quiet* tick spans (no
-// runnability flip, re-placement, finished share, heartbeat or sensor
-// sample) in a kernel that applies only the per-accumulator arithmetic of
-// those ticks; see fast_forward(). A manager takes part through its
-// PollPlan: polls that find no new heartbeat are absorbed into the span,
-// and every span tick is either full or short by one overhead charge on
-// the manager core.
+// runnability flip, re-placement, finished share, pipeline item hand-off,
+// heartbeat or sensor sample) in a kernel that applies only the
+// per-accumulator arithmetic of those ticks, tick-major across the
+// independent accumulators; see fast_forward(). A manager takes part
+// through its PollPlan: polls that find no new heartbeat are absorbed
+// into the span, and every span tick is either full or short by one
+// overhead charge on the manager core.
 //
 // The engine exposes the "syscall surface" the paper's user-level runtime
 // uses on Linux: sched_setaffinity (set_thread_affinity), cpufreq
@@ -77,9 +78,12 @@ struct TickScratch {
   std::vector<double> core_freq_ghz;   ///< Per-core DVFS snapshot.
   std::vector<double> cluster_busy;    ///< Per-cluster busy sum for the sensor.
   std::vector<double> cluster_busy_short;  ///< Same, for a span's short ticks.
+  std::vector<double> core_busy_us;    ///< Per core: a span tick's busy time.
   std::vector<double> cluster_freq;    ///< Per-cluster DVFS snapshot.
   std::vector<char> cluster_online;    ///< Any core of the cluster online?
   std::vector<ThreadGrant> grants;     ///< Per thread: quiet-span grants.
+  std::vector<double> span_load;       ///< Per thread: a span's load chain.
+  std::vector<double> span_load_input; ///< Per thread: its EWMA input term.
   std::unique_ptr<bool[]> short_ticks; ///< Per span tick: short by a charge?
   std::size_t short_ticks_capacity = 0;  ///< Allocated size of `short_ticks`.
   std::unique_ptr<bool[]> runnable;    ///< App::refresh_runnable buffer.
@@ -124,7 +128,7 @@ class SimEngine {
   }
 
   /// Installs a callback invoked at every tick boundary with the tick's
-  /// start time (first call: t = 0), before applications generate work —
+  /// start time (first call: t = 0), before the tick's threads are placed —
   /// the dispatch point for scenario events: state changed by the hook is
   /// visible to the whole tick. One hook; empty function clears it.
   void set_tick_hook(std::function<void(TimeUs)> hook) {
@@ -278,9 +282,6 @@ class SimEngine {
   /// Ascending slots of the live apps: the tick loops walk these, not
   /// the (null-riddled, under churn) slot table.
   std::vector<std::size_t> live_slots_;
-  /// Per slot: App::needs_begin_tick(), cached at add_app so the tick
-  /// path skips the no-op virtual dispatch.
-  std::vector<char> app_needs_begin_;
   std::vector<SimThread> threads_;
   /// threads_ index of the first thread of each app; -1 once removed.
   std::vector<int> app_thread_base_;

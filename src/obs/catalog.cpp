@@ -10,7 +10,6 @@ namespace obs {
 const char* tick_phase_name(TickPhase phase) {
   switch (phase) {
     case TickPhase::kScenarioDispatch: return "scenario_dispatch";
-    case TickPhase::kBeginTick: return "begin_tick";
     case TickPhase::kSnapshotRefresh: return "snapshot_refresh";
     case TickPhase::kRunnability: return "runnability";
     case TickPhase::kAssign: return "assign";

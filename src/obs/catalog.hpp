@@ -15,13 +15,13 @@
 namespace hars {
 namespace obs {
 
-/// The tick lifecycle phases timed in SimEngine::step(): the paper's
-/// 6-step tick plus the scenario-dispatch hook (step 0), with snapshot
-/// refresh and the manager hook separated out so search cost is
+/// The tick lifecycle phases timed in SimEngine::step(): the engine's
+/// 5-step tick (sim_engine.hpp) plus the scenario-dispatch hook (step 0),
+/// with the snapshot and runnability refreshes timed apart from
+/// placement, and the manager hook on its own so search cost is
 /// attributable. Order matches execution order inside one tick.
 enum class TickPhase : std::uint8_t {
   kScenarioDispatch = 0,  ///< tick hook: scenario event dispatch.
-  kBeginTick,             ///< App work generation (begin_tick).
   kSnapshotRefresh,       ///< Scratch prep + DVFS/online snapshot.
   kRunnability,           ///< Runnable refresh + EWMA load update.
   kAssign,                ///< Scheduler placement (+ placement audit).

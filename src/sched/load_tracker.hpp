@@ -29,8 +29,20 @@ class LoadTracker {
     // (0*d + 0*(1-d) == 0); 1 is one when d >= 1/2, where 1-d is exact
     // (Sterbenz) and d + (1-d) rounds to exactly 1.0.
     if (runnable ? (value_ == 1.0 && decay >= 0.5) : (value_ == 0.0)) return;
-    value_ = value_ * decay + (runnable ? 1.0 : 0.0) * (1.0 - decay);
+    value_ = step(value_, decay, input(runnable, decay));
   }
+
+  /// The branch-free parts of update_with_decay() for a batch of values
+  /// kept outside their trackers: step(v, decay, input(runnable, decay))
+  /// is update_with_decay()'s result on a tracker holding v, since the
+  /// skipped fixed points reproduce themselves exactly.
+  static double input(bool runnable, double decay) {
+    return (runnable ? 1.0 : 0.0) * (1.0 - decay);
+  }
+  static double step(double value, double decay, double input) {
+    return value * decay + input;
+  }
+  void set_value(double value) { value_ = value; }
 
   TimeUs half_life_us() const { return half_life_us_; }
 

@@ -1,11 +1,11 @@
 // Differential tests of SimEngine's quiet-span fast-forward. Every
 // manager-less run the paper's targets and oracles rest on — calibration,
 // static-optimal probes, concurrent baseline probes, blackscholes' serial
-// warm-up, Baseline and SO experiments — and every managed run of the
-// evaluation (HARS-I/E/EI, CONS-I, MP-HARS-I/E, whose no-news polls are
-// absorbed into spans) runs on the optimized path (which fast-forwards)
-// and on the strictly per-tick reference path, and the two must agree
-// bit for bit. Runs that do not qualify must not fast-forward at all.
+// warm-up, ferret's pipeline, Baseline and SO experiments — and every
+// managed run of the evaluation (HARS-I/E/EI, CONS-I, MP-HARS-I/E, whose
+// no-news polls are absorbed into spans) runs on the optimized path
+// (which fast-forwards) and on the strictly per-tick reference path, and
+// the two must agree bit for bit. Runs that do not qualify must not fast-forward at all.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,10 +13,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/data_parallel_app.hpp"
 #include "apps/parsec.hpp"
+#include "apps/pipeline_app.hpp"
 #include "exp/experiment.hpp"
 #include "exp/fuzz_harness.hpp"
 #include "hmp/platform_registry.hpp"
@@ -167,11 +169,13 @@ class FastForward : public testing::TestWithParam<std::string> {
 
   /// A Baseline or SO experiment on both paths (caches warmed first, so
   /// the counted fast-forward is the measured run's own).
-  std::uint64_t expect_identical_experiment(const std::string& variant) {
+  TickCounts expect_identical_experiment(
+      const std::string& variant,
+      ParsecBenchmark bench = ParsecBenchmark::kBodytrack) {
     auto run = [&](bool reference) {
       ExperimentBuilder b;
       b.platform(platform())
-          .app(ParsecBenchmark::kBodytrack)
+          .app(bench)
           .variant(variant)
           .duration_sec(4.0)
           .reference_impl(reference);
@@ -182,7 +186,7 @@ class FastForward : public testing::TestWithParam<std::string> {
     const TickCounts counts =
         counts_during([&] { optimized = run(false); });
     EXPECT_EQ(optimized, run(true));
-    return counts.ff_ticks;
+    return counts;
   }
 
   /// A managed experiment on both paths (caches warmed first): the
@@ -237,8 +241,8 @@ class FastForward : public testing::TestWithParam<std::string> {
     return counts;
   }
 
-  /// Asserts a managed data-parallel run fast-forwarded most of its
-  /// ticks and absorbed polls into its spans.
+  /// Asserts a managed run fast-forwarded most of its ticks and absorbed
+  /// polls into its spans.
   static void expect_mostly_skipped(const TickCounts& counts) {
     EXPECT_GT(counts.ff_ticks * 10, counts.ticks * 8)
         << counts.ff_ticks << " of " << counts.ticks << " ticks skipped";
@@ -330,11 +334,125 @@ TEST_P(FastForward, AuditedRunsAuditEverySpanAndStayBitIdentical) {
 }
 
 TEST_P(FastForward, BaselineExperimentIsBitIdentical) {
-  EXPECT_GT(expect_identical_experiment("Baseline"), 0u);
+  EXPECT_GT(expect_identical_experiment("Baseline").ff_ticks, 0u);
 }
 
 TEST_P(FastForward, StaticOptimalExperimentIsBitIdentical) {
-  EXPECT_GT(expect_identical_experiment("SO"), 0u);
+  EXPECT_GT(expect_identical_experiment("SO").ff_ticks, 0u);
+}
+
+// --- Pipeline runs (ferret): spans end at item hand-off, acquisition
+// and retirement ----------------------------------------------------------
+
+const Drive kFerretCalibration = [](SimEngine& engine, auto& apps) {
+  add_parsec(engine, apps, ParsecBenchmark::kFerret);
+  run_to_first_heartbeat(engine, *apps.back());
+  engine.run_for(3 * kUsPerSec);
+};
+
+/// Asserts a run fast-forwarded more than `share` of its ticks.
+void expect_skipped_share(const TickCounts& counts, double share) {
+  EXPECT_GT(static_cast<double>(counts.ff_ticks),
+            share * static_cast<double>(counts.ticks))
+      << counts.ff_ticks << " of " << counts.ticks << " ticks skipped";
+}
+
+TEST_P(FastForward, FerretCalibrationRunIsBitIdentical) {
+  expect_skipped_share(expect_identical(kFerretCalibration), 0.5);
+}
+
+TEST_P(FastForward, PinnedFerretStaticOptimalProbesAreBitIdentical) {
+  // Ferret's 8 workers pinned to one big and one little core at the
+  // slowest DVFS levels (several workers per core), and to one core.
+  for (const auto& [big, little] : {std::pair{1, 1}, std::pair{1, 0}}) {
+    const Drive probe = [big, little](SimEngine& engine, auto& apps) {
+      const AppId id = add_parsec(engine, apps, ParsecBenchmark::kFerret);
+      Machine& m = engine.machine();
+      m.set_freq_level(m.fastest_cluster(), 0);
+      m.set_freq_level(m.slowest_cluster(), 0);
+      CpuMask allowed;
+      for (int i = 0; i < little; ++i) allowed.set(m.slowest_mask().first() + i);
+      for (int i = 0; i < big; ++i) allowed.set(m.fastest_mask().first() + i);
+      engine.set_app_affinity(id, allowed);
+      run_to_first_heartbeat(engine, *apps.back());
+      engine.sensor().reset();
+      engine.run_for(3 * kUsPerSec);
+    };
+    SCOPED_TRACE(std::to_string(big) + " big + " + std::to_string(little) +
+                 " little");
+    EXPECT_GT(expect_identical(probe).ff_ticks, 0u);
+  }
+}
+
+TEST_P(FastForward, PipelineWithDataParallelAppIsBitIdentical) {
+  const Drive with_pipeline = [](SimEngine& engine, auto& apps) {
+    add_parsec(engine, apps, ParsecBenchmark::kFerret, 2);
+    kCalibration(engine, apps);
+  };
+  EXPECT_GT(expect_identical(with_pipeline).ff_ticks, 0u);
+}
+
+TEST_P(FastForward, FerretBaselineAndStaticOptimalExperimentsAreBitIdentical) {
+  for (const char* variant : {"Baseline", "SO"}) {
+    SCOPED_TRACE(variant);
+    expect_skipped_share(
+        expect_identical_experiment(variant, ParsecBenchmark::kFerret), 0.8);
+  }
+}
+
+TEST_P(FastForward, FerretHarsExperimentsAreBitIdentical) {
+  for (const char* variant : {"HARS-I", "HARS-E", "HARS-EI"}) {
+    for (const double fraction : {0.50, 0.75}) {
+      SCOPED_TRACE(std::string(variant) + " @ " + std::to_string(fraction));
+      expect_mostly_skipped(expect_identical_managed(
+          variant, {ParsecBenchmark::kFerret}, fraction));
+    }
+  }
+}
+
+TEST_P(FastForward, AuditedFerretRunIsBitIdentical) {
+  EngineOptions audited;
+  audited.audit = true;
+  EXPECT_GT(expect_identical(kFerretCalibration, audited).ff_ticks, 0u);
+  EXPECT_GT(expect_identical_managed("HARS-E", {ParsecBenchmark::kFerret},
+                                     0.5, /*audit=*/true)
+                .ff_polls,
+            0u);
+}
+
+/// A small pipeline on the engine: 2 stages of 1 worker each.
+AppId add_pipeline(SimEngine& engine, std::vector<std::unique_ptr<App>>& apps,
+                   int max_in_flight, std::int64_t max_items) {
+  PipelineConfig config;
+  config.stages = {{1, 0.3}, {1, 0.3}};
+  config.speed = SpeedModel{3.0, 2.0};
+  config.max_in_flight = max_in_flight;
+  config.max_items = max_items;
+  config.work_noise = 0.05;
+  apps.push_back(std::make_unique<PipelineApp>("pipe", config));
+  return engine.add_app(apps.back().get());
+}
+
+TEST_P(FastForward, PipelineHandOffsAndAdmissionsEndSpans) {
+  // One item in flight: every retirement admits the next item and flips
+  // stage 0 runnable, every hand-off flips stage 1 — each ends a span.
+  const Drive serial = [](SimEngine& engine, auto& apps) {
+    add_pipeline(engine, apps, 1, -1);
+    engine.run_for(5 * kUsPerSec);
+    EXPECT_GT(apps.back()->heartbeats().count(), 5);
+  };
+  EXPECT_GT(expect_identical(serial).ff_ticks, 0u);
+}
+
+TEST_P(FastForward, ExhaustedPipelineSkipsIdleTicks) {
+  // After the last item retires nothing is runnable: the rest of the run
+  // is one quiet stretch, cut only by sensor samples.
+  const Drive exhausted = [](SimEngine& engine, auto& apps) {
+    add_pipeline(engine, apps, 4, 3);
+    engine.run_for(5 * kUsPerSec);
+    EXPECT_TRUE(apps.back()->finished());
+  };
+  expect_skipped_share(expect_identical(exhausted), 0.8);
 }
 
 // --- Managed runs: no-news polls absorbed into spans -------------------
@@ -522,14 +640,6 @@ TEST_P(FastForward, TickHookNeverFastForwards) {
     kCalibration(engine, apps);
   };
   EXPECT_EQ(expect_identical(hooked).ff_ticks, 0u);
-}
-
-TEST_P(FastForward, PipelineAppPresentNeverFastForwards) {
-  const Drive with_pipeline = [](SimEngine& engine, auto& apps) {
-    add_parsec(engine, apps, ParsecBenchmark::kFerret, 2);
-    kCalibration(engine, apps);
-  };
-  EXPECT_EQ(expect_identical(with_pipeline).ff_ticks, 0u);
 }
 
 TEST_P(FastForward, ZeroWorkIterationsNeverFastForward) {
