@@ -9,12 +9,13 @@
 //     combination, measured serially, then re-run on a work-stealing
 //     pool (--jobs N) with a byte-identical-records assertion — the
 //     engine must produce the same metrics at any parallelism.
-//  2. Speedup: the staggered scenario on exynos5422 under all eight
-//     runtime versions, plus plain runs of each (no tick hook: the runs
-//     the engine fast-forwards, absorbing managers' no-news polls) —
+//  2. Speedup: on exynos5422 under all eight runtime versions, the
+//     staggered scenario, a generated churn scenario (gen:churn: a steady
+//     stream of arrivals and departures) and plain runs of each —
 //     bodytrack alone and ferret alone, or Fig 5.4 case 1 for multi-app
-//     versions — on the optimized tick/search path and on the retained
-//     reference path (--reference semantics of
+//     versions — on the optimized tick/search path (which fast-forwards
+//     quiet spans, absorbing managers' no-news polls) and on the
+//     retained reference path (--reference semantics of
 //     ExperimentBuilder::reference_impl), min of --reps repetitions; the
 //     geomean covers the staggered rows.
 //     Asserts (a) records are bit-identical between the two paths and
@@ -229,15 +230,15 @@ int main(int argc, char** argv) {
               grid.size(), grid_serial_ms, jobs, grid_parallel_ms,
               grid_identical ? "identical" : "DIVERGENT");
 
-  // ---- Part 2: optimized vs reference on the staggered scenario --------
-  // Plus hook-less plain runs of every variant: the staggered scenario's
-  // tick hook keeps the quiet-span fast-forward off, so only these rows
-  // compare fast-forwarded runs (managed ones included) against the
-  // per-tick reference path. Single-app variants get a plain row on
-  // bodytrack (data-parallel) and one on ferret (pipeline).
+  // ---- Part 2: optimized vs reference, per variant ---------------------
+  // Every row compares fast-forwarded runs (managed ones included)
+  // against the per-tick reference path: the staggered scenario, the
+  // generated churn scenario (events end spans) and plain runs.
+  // Single-app variants get a plain row on bodytrack (data-parallel) and
+  // one on ferret (pipeline).
   struct SpeedupCase {
     std::string variant;
-    std::string scenario;                ///< "staggered", or "plain" (no hook).
+    std::string scenario;                ///< A scenario name, or "plain".
     std::vector<ParsecBenchmark> apps;   ///< Plain rows' apps.
   };
   struct SpeedupRow {
@@ -276,8 +277,10 @@ int main(int argc, char** argv) {
   };
 
   std::vector<SpeedupCase> speedup_cases;
-  for (const std::string& variant : VariantRegistry::instance().names()) {
-    speedup_cases.push_back({variant, "staggered", {}});
+  for (const char* scenario : {"staggered", "gen:churn"}) {
+    for (const std::string& variant : VariantRegistry::instance().names()) {
+      speedup_cases.push_back({variant, scenario, {}});
+    }
   }
   for (const std::string& variant : VariantRegistry::instance().names()) {
     const VariantEntry* entry = VariantRegistry::instance().find(variant);

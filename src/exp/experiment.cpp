@@ -157,8 +157,8 @@ RunMetrics collect_metrics(const SimEngine& engine, const App& app,
 }
 
 /// The scenario pipeline: apps arrive and depart per the scenario's event
-/// list, dispatched at tick boundaries by a ScenarioRuntime installed as
-/// the engine's tick hook. Cold-start protocol throughout; each app's
+/// list, dispatched at tick boundaries by the ScenarioRuntime that drives
+/// the engine. Cold-start protocol throughout; each app's
 /// measurement span runs from its first heartbeat to its departure (or
 /// run end).
 ExperimentResult run_scenario(const ExperimentSpec& spec) {
@@ -194,14 +194,14 @@ ExperimentResult run_scenario(const ExperimentSpec& spec) {
     spec.capture->write_meta(meta);
     runtime.attach_capture(spec.capture);
   }
-  engine.set_tick_hook([&runtime](TimeUs t) { runtime.on_tick(t); });
 
   if (spec.sample_period > 0 && spec.sampler) {
     std::vector<App*> app_ptrs;
     std::vector<AppId> ids;
     const TimeUs end = engine.now() + spec.duration;
     while (engine.now() < end) {
-      engine.run_for(std::min(spec.sample_period, end - engine.now()));
+      runtime.run_until(engine.now() +
+                        std::min(spec.sample_period, end - engine.now()));
       app_ptrs.clear();
       ids.clear();
       for (const ScenarioAppSlot& slot : runtime.slots()) {
@@ -212,7 +212,7 @@ ExperimentResult run_scenario(const ExperimentSpec& spec) {
       spec.sampler(RunView{engine, app_ptrs, ids, *instance, engine.now()});
     }
   } else {
-    engine.run_for(spec.duration);
+    runtime.run_until(engine.now() + spec.duration);
   }
   runtime.finish(engine.now());
 

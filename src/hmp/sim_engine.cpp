@@ -120,9 +120,14 @@ TimeUs SimEngine::thread_cpu_time_us(AppId app_id, int local_tid) const {
 void SimEngine::run_until(TimeUs t) {
   while (now_ < t) {
     step();
-    // Only runs with nothing acting between ticks but the manager's polls
-    // may skip any: no tick hook, and not the per-tick reference path.
-    if (now_ < t && !tick_hook_ && !config_.reference_tick) fast_forward(t);
+    // The per-tick reference path never skips; after a failed attempt
+    // the optimized path waits out its backoff first.
+    if (now_ >= t || config_.reference_tick) continue;
+    if (ff_wait_ > 0) {
+      --ff_wait_;
+    } else {
+      fast_forward(t);
+    }
   }
 }
 
@@ -193,7 +198,7 @@ HARS_HOT void SimEngine::prepare_scratch() {
 
 HARS_HOT void SimEngine::refresh_machine_snapshot() {
   TickScratch& s = scratch_;
-  // DVFS levels change at tick boundaries (tick hook, manager — the
+  // DVFS levels change at tick boundaries (scenario events, manager — the
   // latter *after* the execute loop but *before* the sensor, so this runs
   // again post-manager); the machine's epoch says when, so the snapshot
   // is refreshed incrementally instead of every tick. Same for the
@@ -233,16 +238,12 @@ HARS_HOT void SimEngine::step() {
   const bool obs_tick = obs::tick_sample();
   const obs::Catalog& cat = obs::catalog();
 
-  {
-    obs::PhaseTimer obs_phase(obs::TickPhase::kScenarioDispatch, obs_tick);
-    if (tick_hook_) tick_hook_(now_);
-  }
-
   // From here to the end of the tick the engine is on the allocation-free
   // contract (PR 5): any allocation not inside a declared AllowScope
   // (heartbeat history, sensor samples, manager bookkeeping, guarded
-  // first-use growth) is a violation. The scenario hook above is outside
-  // the contract — spawning an app allocates by design.
+  // first-use growth) is a violation. Scenario events are dispatched
+  // between run_until calls, outside the contract — spawning an app
+  // allocates by design.
   AllocGuard alloc_guard("SimEngine::step");
 
   const TimeUs tick = config_.tick_us;
@@ -521,7 +522,19 @@ HARS_HOT void SimEngine::fast_forward(TimeUs until) {
     if (span <= 0) return;
   }
 
+  // An attempt: from here a span of 0 is a failure, and backs off.
+  const obs::Catalog& cat = obs::catalog();
+  obs::counter_add(cat.ff_attempts);
+  const auto fail = [this] {
+    ff_backoff_ = std::min(ff_backoff_ == 0 ? 1 : 2 * ff_backoff_,
+                           kMaxFastForwardBackoff);
+    ff_wait_ = ff_backoff_;
+  };
   AllocGuard alloc_guard("SimEngine::fast_forward");
+  // Every horizon below is a min-cap, so asking the cheapest and most
+  // often failing one first changes no span, only what a failure costs.
+  span = scheduler_->fixed_point_ticks(machine_, threads_, load_decay_, span);
+  if (span <= 0) return fail();
   TickScratch& s = scratch_;
   if (s.grants.size() < threads_.size()) {
     allocg::AllowScope allow("quiet-span grant growth");
@@ -553,7 +566,7 @@ HARS_HOT void SimEngine::fast_forward(TimeUs until) {
       s.short_ticks[static_cast<std::size_t>(k)] = use != 0;
     }
     span = k;
-    if (span <= 0) return;
+    if (span <= 0) return fail();
     if (charge != 0) short_ticks = s.short_ticks.get();
   }
 
@@ -581,10 +594,9 @@ HARS_HOT void SimEngine::fast_forward(TimeUs until) {
       g.freq_ghz = s.core_freq_ghz[core];
     }
     span = a.quiet_ticks(&s.grants[base], short_ticks, span);
-    if (span <= 0) return;
+    if (span <= 0) return fail();
   }
-  span = scheduler_->fixed_point_ticks(machine_, threads_, load_decay_, span);
-  if (span <= 0) return;
+  ff_backoff_ = 0;
 
   // The manager's side of the final span: its overhead is left pending
   // and accrued, and its next poll set, exactly as stepping would.
@@ -659,7 +671,6 @@ HARS_HOT void SimEngine::fast_forward(TimeUs until) {
     audit_tick();
   }
 
-  const obs::Catalog& cat = obs::catalog();
   obs::counter_add(cat.ticks, static_cast<std::uint64_t>(span));
   obs::counter_add(cat.ff_ticks, static_cast<std::uint64_t>(span));
   obs::counter_add(cat.ff_spans);
@@ -672,8 +683,6 @@ HARS_HOT void SimEngine::fast_forward(TimeUs until) {
 // kept verbatim so bench/tick_bench can measure the optimized path
 // against it and assert the two produce bit-identical records.
 void SimEngine::step_reference() {
-  if (tick_hook_) tick_hook_(now_);
-
   const TimeUs tick = config_.tick_us;
   now_ += tick;
 

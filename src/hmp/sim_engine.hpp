@@ -1,9 +1,6 @@
 // SimEngine: the discrete-time execution engine.
 //
 // Advances the machine in fixed ticks (default 1 ms). Each tick it:
-//   0. fires the tick hook with the tick's start time (scenario event
-//      dispatch: apps may be added/removed, targets/phases/hotplug may
-//      change here, visible to the whole tick),
 //   1. asks the OS-scheduler model to place runnable threads on cores,
 //   2. divides each core's tick equally among the threads on it and lets
 //      the owning application consume the CPU shares,
@@ -14,21 +11,22 @@
 //      runtime overhead both consumes capacity and burns power,
 //   5. integrates power and advances the sensor.
 //
-// Hook-less runs additionally fast-forward through *quiet* tick spans (no
+// Off the reference path, runs also fast-forward through *quiet* tick spans (no
 // runnability flip, re-placement, finished share, pipeline item hand-off,
 // heartbeat or sensor sample) in a kernel that applies only the
 // per-accumulator arithmetic of those ticks, tick-major across the
 // independent accumulators; see fast_forward(). A manager takes part
 // through its PollPlan: polls that find no new heartbeat are absorbed
 // into the span, and every span tick is either full or short by one
-// overhead charge on the manager core.
+// overhead charge on the manager core. Scenario events are applied
+// between run_until calls (ScenarioRuntime::run_until), so they end spans
+// like any other `until`.
 //
 // The engine exposes the "syscall surface" the paper's user-level runtime
 // uses on Linux: sched_setaffinity (set_thread_affinity), cpufreq
 // (machine().set_freq_level) and hotplug (machine().set_online_mask).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -127,14 +125,6 @@ class SimEngine {
            apps_[static_cast<std::size_t>(app_id)] != nullptr;
   }
 
-  /// Installs a callback invoked at every tick boundary with the tick's
-  /// start time (first call: t = 0), before the tick's threads are placed —
-  /// the dispatch point for scenario events: state changed by the hook is
-  /// visible to the whole tick. One hook; empty function clears it.
-  void set_tick_hook(std::function<void(TimeUs)> hook) {
-    tick_hook_ = std::move(hook);
-  }
-
   /// Installs a manager the caller keeps alive (legacy wiring; the
   /// Experiment pipeline and the attach_hars shim use this).
   void set_manager(ManagerHook* manager) {
@@ -188,6 +178,8 @@ class SimEngine {
   TimeUs thread_cpu_time_us(AppId app_id, int local_tid) const;
 
   /// Runs the simulation until `t` (absolute) or for `dt` (relative).
+  /// State changed between calls (scenario events) is visible to the
+  /// whole next tick.
   void run_until(TimeUs t);
   void run_for(TimeUs dt) { run_until(now_ + dt); }
 
@@ -231,15 +223,18 @@ class SimEngine {
 
   void step();
   void step_reference();
-  /// Quiet-span fast-forward, tried after each step() of run_until(`until`)
-  /// while no tick hook is attached: when the manager (if any) describes
+  /// Quiet-span fast-forward, tried after a step() of run_until(`until`)
+  /// off the reference path: when the manager (if any) describes
   /// its polls, the scheduler reports a placement fixed point and every
   /// app a quiet horizon, advances through those ticks with only their
   /// per-accumulator arithmetic — bit-identical to stepping them. No-news
   /// polls are absorbed into the span with the overhead they charge. The
   /// tick reaching `until`, the next sensor-sampling tick, a poll that
   /// may find news and a tick with a different overhead charge stay on
-  /// the normal path.
+  /// the normal path. A failed attempt (one that got past those caps but
+  /// found no span) backs off: the next attempts are skipped for
+  /// ff_backoff_ stepped ticks, doubling per further failure up to
+  /// kMaxFastForwardBackoff; a span resets it.
   void fast_forward(TimeUs until);
   /// Runnable threads per core after the latest assign(): the
   /// scheduler's counts when it tracks them, else a counting pass.
@@ -288,7 +283,11 @@ class SimEngine {
   ThreadId next_thread_id_ = 0;  ///< Ids stay unique across removals.
   std::int64_t retired_migrations_ = 0;  ///< Migrations of removed apps.
 
-  std::function<void(TimeUs)> tick_hook_;
+  /// Failed fast-forward attempts are retried after a wait that doubles
+  /// per further failure, capped here (stepped ticks).
+  static constexpr int kMaxFastForwardBackoff = 15;
+  int ff_backoff_ = 0;  ///< Wait after the latest failure; 0 after a span.
+  int ff_wait_ = 0;     ///< Stepped ticks left before the next attempt.
 
   ManagerHook* manager_ = nullptr;
   std::unique_ptr<ManagerHook> owned_manager_;  ///< Set iff engine-owned.

@@ -9,7 +9,6 @@ namespace obs {
 
 const char* tick_phase_name(TickPhase phase) {
   switch (phase) {
-    case TickPhase::kScenarioDispatch: return "scenario_dispatch";
     case TickPhase::kSnapshotRefresh: return "snapshot_refresh";
     case TickPhase::kRunnability: return "runnability";
     case TickPhase::kAssign: return "assign";
@@ -68,11 +67,17 @@ Catalog build_catalog() {
   c.ff_ticks = reg.register_counter(
       "sim.ff_ticks",
       "Ticks advanced by the quiet-span fast-forward (also in engine.ticks)");
+  c.ff_attempts = reg.register_counter(
+      "sim.ff_attempts",
+      "Quiet-span searches past the until/sample/poll caps (a span or a "
+      "failure)");
   c.ff_spans = reg.register_counter(
       "sim.ff_spans", "Quiet spans the engine fast-forwarded through");
   c.ff_polls = reg.register_counter(
       "sim.ff_polls",
       "Manager polls absorbed into quiet spans (they never reach on_tick)");
+  c.scenario_events = reg.register_counter(
+      "scenario.events", "Scenario events dispatched at tick boundaries");
 
   c.memo_unit_time_hits = reg.register_counter(
       "search.memo.unit_time_hits", "SearchScratch unit-time memo hits");

@@ -16,13 +16,13 @@ namespace hars {
 namespace obs {
 
 /// The tick lifecycle phases timed in SimEngine::step(): the engine's
-/// 5-step tick (sim_engine.hpp) plus the scenario-dispatch hook (step 0),
-/// with the snapshot and runnability refreshes timed apart from
-/// placement, and the manager hook on its own so search cost is
-/// attributable. Order matches execution order inside one tick.
+/// 5-step tick (sim_engine.hpp), with the snapshot and runnability
+/// refreshes timed apart from placement, and the manager hook on its own
+/// so search cost is attributable. Order matches execution order inside
+/// one tick. Scenario events are dispatched between ticks, not in one
+/// (counted by scenario.events).
 enum class TickPhase : std::uint8_t {
-  kScenarioDispatch = 0,  ///< tick hook: scenario event dispatch.
-  kSnapshotRefresh,       ///< Scratch prep + DVFS/online snapshot.
+  kSnapshotRefresh = 0,   ///< Scratch prep + DVFS/online snapshot.
   kRunnability,           ///< Runnable refresh + EWMA load update.
   kAssign,                ///< Scheduler placement (+ placement audit).
   kExecute,               ///< Share split + app execution.
@@ -43,8 +43,10 @@ struct Catalog {
   CounterId tick_alloc_violations;  ///< engine.tick_alloc_violations
   HistId tick_phase_ns[static_cast<int>(TickPhase::kCount)];
   CounterId ff_ticks;               ///< sim.ff_ticks
+  CounterId ff_attempts;            ///< sim.ff_attempts
   CounterId ff_spans;               ///< sim.ff_spans
   CounterId ff_polls;               ///< sim.ff_polls
+  CounterId scenario_events;        ///< scenario.events
 
   // --- Search / memoization ---
   CounterId memo_unit_time_hits;    ///< search.memo.unit_time_hits

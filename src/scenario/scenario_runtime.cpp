@@ -1,8 +1,12 @@
 #include "scenario/scenario_runtime.hpp"
 
+#include <algorithm>
+#include <map>
 #include <utility>
 
 #include "exp/calibration.hpp"
+#include "obs/catalog.hpp"
+#include "obs/metrics.hpp"
 
 namespace hars {
 
@@ -30,9 +34,14 @@ std::vector<PerfTarget> resolve_scenario_targets(const ExperimentSpec& spec,
 ScenarioRuntime::ScenarioRuntime(const Scenario& scenario, SimEngine& engine,
                                  const ExperimentSpec& spec,
                                  std::vector<PerfTarget> targets)
-    : scenario_(scenario), engine_(engine), backend_(engine), spec_(spec) {
+    : scenario_(scenario),
+      engine_(engine),
+      backend_(engine),
+      spec_(spec),
+      start_us_(engine.now()) {
   const auto spawns = scenario_.spawns();
   slots_.reserve(spawns.size());
+  std::map<std::string, std::size_t> slot_of;
   for (std::size_t i = 0; i < spawns.size(); ++i) {
     ScenarioAppSlot slot;
     slot.label = spawns[i]->app;
@@ -40,7 +49,22 @@ ScenarioRuntime::ScenarioRuntime(const Scenario& scenario, SimEngine& engine,
     slot.target = targets[i];
     slot.threads = spawns[i]->spawn.threads > 0 ? spawns[i]->spawn.threads
                                                 : spec_.threads;
+    slot_of.emplace(slot.label, i);
     slots_.push_back(std::move(slot));
+  }
+  // Slot index = position among spawns (validate() forbids dup ids and
+  // events of unknown apps).
+  event_slot_.reserve(scenario_.events.size());
+  for (const ScenarioEvent& event : scenario_.events) {
+    if (event.app.empty()) {
+      event_slot_.push_back(0);  // Core event: no app.
+      continue;
+    }
+    const auto it = slot_of.find(event.app);
+    if (it == slot_of.end()) {
+      throw ScenarioError("runtime: unknown app \"" + event.app + "\"");
+    }
+    event_slot_.push_back(it->second);
   }
 }
 
@@ -58,35 +82,22 @@ void ScenarioRuntime::spawn_slot(std::size_t slot_index, TimeUs now) {
 
 void ScenarioRuntime::spawn_initial() {
   // validate() guarantees every t = 0 event is a spawn.
-  std::size_t spawn_index = 0;
   while (next_event_ < scenario_.events.size() &&
          scenario_.events[next_event_].time <= 0) {
-    spawn_slot(spawn_index++, 0);
+    spawn_slot(event_slot_[next_event_], 0);
     ++next_event_;
   }
 }
 
-ScenarioAppSlot& ScenarioRuntime::slot_of(const std::string& label) {
-  for (ScenarioAppSlot& slot : slots_) {
-    if (slot.label == label) return slot;
-  }
-  throw ScenarioError("runtime: unknown app \"" + label + "\"");
-}
-
-void ScenarioRuntime::dispatch(const ScenarioEvent& event, TimeUs now) {
+void ScenarioRuntime::dispatch(std::size_t event_index, TimeUs now) {
+  const ScenarioEvent& event = scenario_.events[event_index];
+  const std::size_t slot_index = event_slot_[event_index];
   switch (event.kind) {
-    case ScenarioEventKind::kSpawn: {
-      // Slot index = position among spawns (validate() forbids dup ids).
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].spawn_event == &event) {
-          spawn_slot(i, now);
-          return;
-        }
-      }
-      throw ScenarioError("runtime: spawn event without slot");
-    }
+    case ScenarioEventKind::kSpawn:
+      spawn_slot(slot_index, now);
+      return;
     case ScenarioEventKind::kKill: {
-      ScenarioAppSlot& slot = slot_of(event.app);
+      ScenarioAppSlot& slot = slots_[slot_index];
       if (!slot.alive) return;
       if (variant_ != nullptr) variant_->on_app_kill(slot.id);
       engine_.remove_app(slot.id);
@@ -95,7 +106,7 @@ void ScenarioRuntime::dispatch(const ScenarioEvent& event, TimeUs now) {
       return;
     }
     case ScenarioEventKind::kSetTarget: {
-      ScenarioAppSlot& slot = slot_of(event.app);
+      ScenarioAppSlot& slot = slots_[slot_index];
       if (!slot.alive) return;
       slot.target = event.target;
       slot.app->heartbeats().set_target(event.target);
@@ -103,7 +114,7 @@ void ScenarioRuntime::dispatch(const ScenarioEvent& event, TimeUs now) {
       return;
     }
     case ScenarioEventKind::kSetPhase: {
-      ScenarioAppSlot& slot = slot_of(event.app);
+      ScenarioAppSlot& slot = slots_[slot_index];
       if (!slot.alive) return;
       slot.app->set_phase_scale(event.phase_scale);
       return;
@@ -121,22 +132,49 @@ void ScenarioRuntime::dispatch(const ScenarioEvent& event, TimeUs now) {
   }
 }
 
-void ScenarioRuntime::on_tick(TimeUs now) {
+void ScenarioRuntime::at_boundary(TimeUs now) {
   bool dispatched = false;
   while (next_event_ < scenario_.events.size() &&
          scenario_.events[next_event_].time <= now) {
-    dispatch(scenario_.events[next_event_], now);
+    dispatch(next_event_, now);
     ++next_event_;
     dispatched = true;
+    obs::counter_add(obs::catalog().scenario_events);
   }
   // Spawn/kill/hotplug events mutate engine tables mid-run; re-check the
   // tick-boundary-safe conservation invariants right after dispatching.
   if (dispatched && engine_.audit_enabled()) engine_.audit_now();
   if (capture_ != nullptr &&
-      tick_index_ % capture_->sample_every_ticks() == 0) {
+      (now - start_us_) / engine_.tick_us() %
+              capture_->sample_every_ticks() == 0) {
     sample(now);
   }
-  ++tick_index_;
+}
+
+TimeUs ScenarioRuntime::next_stop(TimeUs now, TimeUs until) const {
+  const TimeUs tick = engine_.tick_us();
+  // The reference path visits every boundary, so the differential tests
+  // hold the stops chosen below to a per-tick dispatch.
+  if (spec_.reference_impl) return std::min(until, now + tick);
+  TimeUs next = until;
+  if (next_event_ < scenario_.events.size()) {
+    // The first boundary at or after the event (all due ones are done).
+    const TimeUs t = scenario_.events[next_event_].time;
+    next = std::min(next, now + (t - now + tick - 1) / tick * tick);
+  }
+  if (capture_ != nullptr) {
+    const TimeUs every = capture_->sample_every_ticks() * tick;
+    next = std::min(next, start_us_ + ((now - start_us_) / every + 1) * every);
+  }
+  return next;
+}
+
+void ScenarioRuntime::run_until(TimeUs until) {
+  while (engine_.now() < until) {
+    const TimeUs now = engine_.now();
+    at_boundary(now);
+    engine_.run_until(next_stop(now, until));
+  }
 }
 
 void ScenarioRuntime::finish(TimeUs now) {
@@ -151,8 +189,8 @@ void ScenarioRuntime::sample(TimeUs now) {
     // The app's allocated cores: the union of its threads' affinities,
     // intersected with the online mask, split by the managed pools.
     CpuMask allowed;
-    for (const SimThread& t : engine_.threads()) {
-      if (t.app == slot.id) allowed = allowed | t.affinity;
+    for (int i = 0; i < slot.app->thread_count(); ++i) {
+      allowed = allowed | engine_.thread_affinity(slot.id, i);
     }
     allowed = allowed & online;
     const HeartbeatMonitor& hb = slot.app->heartbeats();

@@ -1,14 +1,16 @@
 // ScenarioRuntime: binds a Scenario to one live run.
 //
-// Installed as the SimEngine's tick hook by Experiment::run(), it owns
-// every scenario application (the engine is non-owning), dispatches due
-// events at each tick boundary — spawn (create app, add to engine, set
-// target, notify the variant), kill (notify the variant, reclaim the
+// Experiment::run() drives a scenario run through run_until(), which
+// runs the engine from one tick boundary with work to do to the next. The
+// runtime owns every scenario application (the engine is non-owning),
+// dispatches due events at a boundary — spawn (create app, add to engine,
+// set target, notify the variant), kill (notify the variant, reclaim the
 // app's threads), set_target / set_phase / hotplug — and, when a
 // TraceSink is attached, samples the per-app state on the configured
 // cadence. Dispatch order is event order; an event at time t is applied
 // at the first tick boundary with start >= t, so its effect is visible to
-// that whole tick.
+// that whole tick. Between those boundaries the engine is free to
+// fast-forward.
 #pragma once
 
 #include <memory>
@@ -57,8 +59,9 @@ class ScenarioRuntime {
   void attach_variant(VariantInstance* variant) { variant_ = variant; }
   void attach_capture(TraceSink* sink) { capture_ = sink; }
 
-  /// The SimEngine tick hook: dispatches due events, then samples.
-  void on_tick(TimeUs now);
+  /// Runs the engine until `until` (as SimEngine::run_until), applying
+  /// the events and capture samples due at each tick boundary on the way.
+  void run_until(TimeUs until);
 
   /// Samples the final state at run end (always, regardless of cadence).
   void finish(TimeUs now);
@@ -71,9 +74,13 @@ class ScenarioRuntime {
   const std::vector<ScenarioAppSlot>& slots() const { return slots_; }
 
  private:
-  void dispatch(const ScenarioEvent& event, TimeUs now);
+  /// Dispatches the events due at boundary `now`, then samples if due.
+  void at_boundary(TimeUs now);
+  /// The next boundary after `now` with an event or sample due (on the
+  /// reference path: the next boundary), or `until` if that comes first.
+  TimeUs next_stop(TimeUs now, TimeUs until) const;
+  void dispatch(std::size_t event_index, TimeUs now);
   void spawn_slot(std::size_t slot_index, TimeUs now);
-  ScenarioAppSlot& slot_of(const std::string& label);
   void sample(TimeUs now);
 
   const Scenario& scenario_;
@@ -85,8 +92,10 @@ class ScenarioRuntime {
   VariantInstance* variant_ = nullptr;
   TraceSink* capture_ = nullptr;
   std::vector<ScenarioAppSlot> slots_;  ///< One per spawn, scenario order.
+  /// Per event: the index of its app's slot (core events: unused).
+  std::vector<std::size_t> event_slot_;
   std::size_t next_event_ = 0;          ///< Cursor into scenario_.events.
-  std::int64_t tick_index_ = 0;
+  TimeUs start_us_;                     ///< Boundary of the first tick.
 };
 
 }  // namespace hars

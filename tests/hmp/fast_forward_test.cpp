@@ -5,9 +5,12 @@
 // managed run of the evaluation (HARS-I/E/EI, CONS-I, MP-HARS-I/E, whose
 // no-news polls are absorbed into spans) runs on the optimized path
 // (which fast-forwards) and on the strictly per-tick reference path, and
-// the two must agree bit for bit. Runs that do not qualify must not fast-forward at all.
+// the two must agree bit for bit, and so must scenario runs, whose events
+// and capture samples end spans. Runs that do not qualify must not
+// fast-forward at all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -24,6 +27,8 @@
 #include "hmp/platform_registry.hpp"
 #include "hmp/sim_engine.hpp"
 #include "obs/metrics.hpp"
+#include "scenario/scenario.hpp"
+#include "scenario/trace_sink.hpp"
 #include "sched/gts.hpp"
 
 namespace hars {
@@ -617,6 +622,137 @@ TEST_P(FastForward, AuditedSpansWithChargesStayBitIdentical) {
   EXPECT_GT(counts.ff_polls, 0u);
 }
 
+// --- Scenario runs: events and capture samples end spans ---------------
+
+/// Every scenario event kind, at times off the 1 ms tick grid (and one
+/// on it): a foreground app for the whole run, a background app that
+/// changes phase twice and departs, a late arrival that stays, a
+/// retarget and an outage of two fast cores.
+Scenario every_event_kind(const PlatformSpec& platform) {
+  const CpuMask fast = platform.make_machine().fastest_mask();
+  CpuMask outage;
+  for (CoreId c = fast.next(fast.first()); c >= 0 && outage.count() < 2;
+       c = fast.next(c)) {
+    outage.set(c);
+  }
+  return ScenarioBuilder("ff-every-event")
+      .spawn(0, "fg", ParsecBenchmark::kBodytrack)
+      .spawn(456'789, "bg", ParsecBenchmark::kSwaptions)
+      .threads(4)
+      .set_phase(1'234'567, "bg", 1.6)
+      .spawn(2'000'500, "late", ParsecBenchmark::kFluidanimate)
+      .threads(4)
+      .set_target(2'777'101, "fg", PerfTarget::around(2.0))
+      .set_phase(3'000'000, "bg", 1.0)
+      .offline_cores(3'333'333, outage)
+      .online_cores(4'100'001, outage)
+      .kill(4'999'999, "bg")
+      .build();
+}
+
+class ScenarioFastForward : public FastForward {
+ protected:
+  /// every_event_kind() under `variant`, audited, on both paths. With
+  /// `sample_ticks` > 0 the run is captured at that cadence and driven
+  /// in 1 s sampler slices; with 0 it runs in one piece. The records
+  /// (spawn and depart times included), the capture's bytes (every
+  /// sample row), the traces, adaptations, final state and the engine's
+  /// state at every slice must all agree. Returns the optimized run's
+  /// tick counts.
+  TickCounts expect_identical_scenario(const std::string& variant,
+                                       int sample_ticks) {
+    struct Run {
+      ExperimentResult result;
+      std::string capture;
+      std::vector<Observed> seconds;
+    };
+    const Scenario scenario = every_event_kind(platform());
+    auto run = [&](bool reference) {
+      Run r;
+      TraceSink sink(std::max(sample_ticks, 1));
+      ExperimentBuilder b;
+      b.platform(platform())
+          .scenario(scenario)
+          .variant(variant)
+          .duration_sec(7.0)
+          .reference_impl(reference)
+          .audit(true);
+      if (sample_ticks > 0) {
+        b.capture(sink).sample_every(kUsPerSec, [&r](const RunView& view) {
+          r.seconds.push_back(observe(view.engine, view.apps));
+        });
+      }
+      r.result = b.build().run();
+      r.capture = sink.bytes();
+      return r;
+    };
+    (void)run(false);
+    Run optimized;
+    const TickCounts counts = counts_during([&] { optimized = run(false); });
+    const Run reference = run(true);
+    EXPECT_EQ(result_fingerprint(optimized.result),
+              result_fingerprint(reference.result));
+    EXPECT_EQ(optimized.capture, reference.capture);
+    if (sample_ticks > 0) {
+      EXPECT_GT(optimized.capture.size(), reference.capture.size() / 2);
+      EXPECT_EQ(optimized.seconds.size(), 7u);
+    }
+    EXPECT_EQ(optimized.seconds.size(), reference.seconds.size());
+    for (std::size_t i = 0;
+         i < std::min(optimized.seconds.size(), reference.seconds.size());
+         ++i) {
+      SCOPED_TRACE("second " + std::to_string(i + 1));
+      expect_same(optimized.seconds[i], reference.seconds[i]);
+    }
+    const ExperimentResult& opt = optimized.result;
+    const ExperimentResult& ref = reference.result;
+    EXPECT_EQ(opt.adaptations, ref.adaptations);
+    EXPECT_EQ(opt.final_state, ref.final_state);
+    EXPECT_EQ(opt.apps.size(), ref.apps.size());
+    for (std::size_t i = 0; i < std::min(opt.apps.size(), ref.apps.size());
+         ++i) {
+      EXPECT_TRUE(opt.apps[i].trace == ref.apps[i].trace) << opt.apps[i].label;
+    }
+    // Events apply at the first tick boundary at or after their time.
+    EXPECT_EQ(opt.apps.size(), 3u);
+    for (const AppRunResult& app : opt.apps) {
+      if (app.label == "bg") {
+        EXPECT_EQ(app.spawn_time_us, 457 * kUsPerMs);
+        EXPECT_EQ(app.depart_time_us, 5000 * kUsPerMs);
+      } else if (app.label == "late") {
+        EXPECT_EQ(app.spawn_time_us, 2001 * kUsPerMs);
+        EXPECT_EQ(app.depart_time_us, -1);
+      }
+    }
+    return counts;
+  }
+};
+
+TEST_P(ScenarioFastForward, EveryEventKindIsBitIdentical) {
+  for (const char* variant : {"Baseline", "HARS-EI", "MP-HARS-E"}) {
+    SCOPED_TRACE(variant);
+    EXPECT_GT(expect_identical_scenario(variant, 0).ff_ticks, 0u);
+  }
+}
+
+TEST_P(ScenarioFastForward, CapturedEveryTickIsBitIdentical) {
+  // A sample at every boundary leaves no tick to skip.
+  for (const char* variant : {"Baseline", "HARS-EI", "MP-HARS-E"}) {
+    SCOPED_TRACE(variant);
+    EXPECT_EQ(expect_identical_scenario(variant, 1).ff_ticks, 0u);
+  }
+}
+
+TEST_P(ScenarioFastForward, CapturedEverySeventhTickIsBitIdentical) {
+  for (const char* variant : {"Baseline", "HARS-EI", "MP-HARS-E"}) {
+    SCOPED_TRACE(variant);
+    EXPECT_GT(expect_identical_scenario(variant, 7).ff_ticks, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Platforms, ScenarioFastForward,
+                         testing::Values("exynos5422", "manycore4x4"));
+
 // --- Runs that must stay on the per-tick path --------------------------
 
 /// A manager that does not describe its polls (the default PollPlan).
@@ -632,14 +768,6 @@ TEST_P(FastForward, ManagerAttachedNeverFastForwards) {
     kCalibration(engine, apps);
   };
   EXPECT_EQ(expect_identical(managed).ff_ticks, 0u);
-}
-
-TEST_P(FastForward, TickHookNeverFastForwards) {
-  const Drive hooked = [](SimEngine& engine, auto& apps) {
-    engine.set_tick_hook([](TimeUs) {});
-    kCalibration(engine, apps);
-  };
-  EXPECT_EQ(expect_identical(hooked).ff_ticks, 0u);
 }
 
 TEST_P(FastForward, ZeroWorkIterationsNeverFastForward) {

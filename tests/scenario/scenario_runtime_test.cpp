@@ -124,18 +124,6 @@ TEST(SimEngineRemoveApp, SpawnAfterKillInterleavingKeepsIndexMapping) {
   EXPECT_FALSE(engine.app_alive(id_d));
 }
 
-TEST(SimEngineTickHook, FiresAtEveryBoundaryWithStartTime) {
-  SimEngine engine(Machine::exynos5422(), gts());
-  auto a = make_parsec_app(ParsecBenchmark::kSwaptions, 4, 1);
-  engine.add_app(a.get());
-  std::vector<TimeUs> boundaries;
-  engine.set_tick_hook([&](TimeUs t) { boundaries.push_back(t); });
-  engine.run_for(5 * kUsPerMs);
-  ASSERT_EQ(boundaries.size(), 5u);
-  EXPECT_EQ(boundaries.front(), 0);
-  EXPECT_EQ(boundaries.back(), 4 * kUsPerMs);
-}
-
 TEST(AppPhaseScale, ScalesEffectiveSpeed) {
   auto app = make_parsec_app(ParsecBenchmark::kSwaptions, 4, 1);
   EXPECT_DOUBLE_EQ(app->phase_scale(), 1.0);
